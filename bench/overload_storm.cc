@@ -87,12 +87,12 @@
 #include "dsl/sema.hh"
 #include "mpc/batch.hh"
 #include "mpc/chaos.hh"
-#include "mpc/checkpoint_io.hh"
 #include "mpc/simulate.hh"
 #include "mpc/status.hh"
 #include "mpc/timeline.hh"
 #include "mpc/upgrade.hh"
 #include "support/checkpoint.hh"
+#include "support/hash.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 
@@ -170,17 +170,6 @@ struct CrashPlan
     std::string dir = ".";   //!< Checkpoint / postmortem directory.
 };
 
-/** The same splitmix64 finalizer the chaos and fault engines use, so
- *  the crash schedule is a pure function of (seed, storm, index). */
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /** Deterministic, sorted, deduplicated batch indices at which a storm
  *  is killed. Every index lands after the first checkpoint exists, so
  *  each kill resumes from a real file (the corrupt/cold-start path is
@@ -195,7 +184,7 @@ crashSchedule(std::uint64_t seed, std::uint64_t storm_nonce, int batches,
     if (span <= 0)
         return out;
     for (int k = 0; k < plan.crashes; ++k) {
-        std::uint64_t h = splitmix64(
+        std::uint64_t h = robox::support::mix64(
             seed ^ (storm_nonce << 20) ^ (0xC4A5ull << 40) ^
             static_cast<std::uint64_t>(k));
         out.push_back(lo + static_cast<int>(h % static_cast<std::uint64_t>(
@@ -305,6 +294,17 @@ runStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
         return 0;
     };
 
+    // The harness world state rides ahead of the controller in each
+    // checkpoint; one field list writes and reads it.
+    std::uint64_t saved_b = 0;
+    auto world = [&](auto &ar) {
+        return ar.u64(saved_b) && ar.vectorList(truth) &&
+               ar.vectorList(prev_meas) && ar.vectorList(last_u) &&
+               ar.f64(err_sum) && ar.u64(err_n) &&
+               ar.f64(result.maxTrackingError) &&
+               ar.u64(result.protectedShed);
+    };
+
     int b = 0;
     while (b < batches) {
         if (crash && next_kill < kills.size() && b == kills[next_kill]) {
@@ -318,22 +318,9 @@ runStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
             batch = make_batch(); // The "new process".
             std::string blob;
             bool restored = false;
-            std::uint64_t saved_b = 0;
             if (robox::support::readFile(ckpt_path, &blob)) {
                 robox::support::CheckpointReader r(blob);
-                std::uint64_t saved_shed = 0;
-                restored =
-                    r.status() ==
-                        robox::support::CheckpointStatus::Ok &&
-                    r.u64(&saved_b) &&
-                    robox::mpc::readVectorList(r, truth) &&
-                    robox::mpc::readVectorList(r, prev_meas) &&
-                    robox::mpc::readVectorList(r, last_u) &&
-                    r.f64(&err_sum) && r.u64(&err_n) &&
-                    r.f64(&result.maxTrackingError) &&
-                    r.u64(&saved_shed) && batch->restore(r) && r.atEnd();
-                if (restored)
-                    result.protectedShed = saved_shed;
+                restored = world(r) && batch->restore(r) && r.atEnd();
             }
             if (!restored) {
                 std::fprintf(stderr,
@@ -377,14 +364,8 @@ runStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
         ++b;
         if (crash && b % crash->checkpointEvery == 0) {
             robox::support::CheckpointWriter w;
-            w.u64(static_cast<std::uint64_t>(b));
-            robox::mpc::writeVectorList(w, truth);
-            robox::mpc::writeVectorList(w, prev_meas);
-            robox::mpc::writeVectorList(w, last_u);
-            w.f64(err_sum);
-            w.u64(err_n);
-            w.f64(result.maxTrackingError);
-            w.u64(result.protectedShed);
+            saved_b = static_cast<std::uint64_t>(b);
+            world(w);
             batch->checkpoint(w);
             robox::support::writeFileAtomic(ckpt_path, w.finish());
         }
@@ -499,6 +480,13 @@ runLinkStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
         return 0;
     };
 
+    std::uint64_t saved_b = 0;
+    auto world = [&](auto &ar) {
+        return ar.u64(saved_b) && ar.vectorList(truth) &&
+               ar.f64(err_sum) && ar.u64(err_n) &&
+               ar.f64(result.maxTrackingError);
+    };
+
     int b = 0;
     while (b < batches) {
         if (crash && next_kill < kills.size() && b == kills[next_kill]) {
@@ -510,17 +498,9 @@ runLinkStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
             batch = make_batch();
             std::string blob;
             bool restored = false;
-            std::uint64_t saved_b = 0;
             if (robox::support::readFile(ckpt_path, &blob)) {
                 robox::support::CheckpointReader r(blob);
-                restored =
-                    r.status() ==
-                        robox::support::CheckpointStatus::Ok &&
-                    r.u64(&saved_b) &&
-                    robox::mpc::readVectorList(r, truth) &&
-                    r.f64(&err_sum) && r.u64(&err_n) &&
-                    r.f64(&result.maxTrackingError) &&
-                    batch->restore(r) && r.atEnd();
+                restored = world(r) && batch->restore(r) && r.atEnd();
             }
             if (!restored) {
                 std::fprintf(stderr,
@@ -556,11 +536,8 @@ runLinkStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
         ++b;
         if (crash && b % crash->checkpointEvery == 0) {
             robox::support::CheckpointWriter w;
-            w.u64(static_cast<std::uint64_t>(b));
-            robox::mpc::writeVectorList(w, truth);
-            w.f64(err_sum);
-            w.u64(err_n);
-            w.f64(result.maxTrackingError);
+            saved_b = static_cast<std::uint64_t>(b);
+            world(w);
             batch->checkpoint(w);
             robox::support::writeFileAtomic(ckpt_path, w.finish());
         }

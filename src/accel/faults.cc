@@ -5,6 +5,7 @@
 
 #include "accel/faults.hh"
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace robox::accel
@@ -13,15 +14,7 @@ namespace robox::accel
 namespace
 {
 
-/** splitmix64 finalizer: a fast, well-mixed 64-bit permutation. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+using support::mix64;
 
 /** Hash of one access identity under one seed. Chained mixes keep the
  *  site/cycle/word contributions from cancelling each other. */
@@ -54,9 +47,7 @@ FaultInjector::faultBitAt(FaultSite site, std::uint64_t cycle,
     }
 
     std::uint64_t h = accessHash(campaign_.seed, site, cycle, word);
-    // Top 53 bits -> uniform double in [0, 1); exact and portable.
-    double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-    if (u >= campaign_.upsetRate)
+    if (support::uniform(h) >= campaign_.upsetRate)
         return -1;
 
     if (campaign_.targetBit >= 0)

@@ -106,37 +106,31 @@ Controller::step(const Vector &x, const std::vector<Vector> &refs)
     return result;
 }
 
+template <class Self, class Ar>
+bool
+Controller::visit(Self &c, Ar &ar)
+{
+    return ar.u64(c.periods_) &&
+           ar.enum32(c.last_status_, mpc::SolveStatus::Shed) &&
+           ar.object(*c.solver_) && ar.object(c.backup_) &&
+           ar.object(c.gate_) && ar.object(c.recorder_);
+}
+
 void
 Controller::checkpoint(support::CheckpointWriter &w) const
 {
-    w.u64(periods_);
-    w.u32(static_cast<std::uint32_t>(last_status_));
-    solver_->checkpoint(w);
-    backup_.checkpoint(w);
-    gate_.checkpoint(w);
-    recorder_.checkpoint(w);
+    visit(*this, w);
 }
 
 bool
 Controller::restore(support::CheckpointReader &r)
 {
-    auto fail = [&] {
-        reset();
-        recorder_.clear();
-        periods_ = 0;
-        return false;
-    };
-    if (r.status() != support::CheckpointStatus::Ok)
-        return fail();
-    std::uint32_t status = 0;
-    if (!r.u64(&periods_) || !r.u32(&status) ||
-        status > static_cast<std::uint32_t>(mpc::SolveStatus::Shed))
-        return fail();
-    last_status_ = static_cast<mpc::SolveStatus>(status);
-    if (!solver_->restore(r) || !backup_.restore(r) ||
-        !gate_.restore(r) || !recorder_.restore(r))
-        return fail();
-    return true;
+    if (visit(*this, r))
+        return true;
+    reset();
+    recorder_.clear();
+    periods_ = 0;
+    return false;
 }
 
 compiler::IsaStreams

@@ -210,6 +210,8 @@ class Controller
     }
 
   private:
+    template <class Self, class Ar> static bool visit(Self &c, Ar &ar);
+
     /** Shared failure handling for both step() overloads. */
     mpc::IpmSolver::Result applyFailsafe(mpc::IpmSolver::Result result);
 

@@ -159,6 +159,17 @@ struct SelfCheckStats
         cpuFallbacks += o.cpuFallbacks;
     }
 
+    /** Checkpoint field list (support/checkpoint.hh vocabulary). */
+    template <class Self, class Ar>
+    static bool
+    visit(Self &s, Ar &ar)
+    {
+        return ar.u64(s.parityChecks) && ar.u64(s.parityErrors) &&
+               ar.u64(s.checksumChecks) && ar.u64(s.checksumErrors) &&
+               ar.u64(s.watchdogTrips) && ar.u64(s.reexecutions) &&
+               ar.u64(s.reloads) && ar.u64(s.cpuFallbacks);
+    }
+
     bool operator==(const SelfCheckStats &o) const = default;
 };
 

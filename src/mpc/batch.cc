@@ -891,40 +891,6 @@ BatchController::resetAll()
         upgrade_->resetSolvers();
 }
 
-namespace
-{
-
-void
-checkpointSelfCheck(support::CheckpointWriter &w,
-                    const SelfCheckStats &sc)
-{
-    w.u64(sc.parityChecks);
-    w.u64(sc.parityErrors);
-    w.u64(sc.checksumChecks);
-    w.u64(sc.checksumErrors);
-    w.u64(sc.watchdogTrips);
-    w.u64(sc.reexecutions);
-    w.u64(sc.reloads);
-    w.u64(sc.cpuFallbacks);
-}
-
-bool
-restoreSelfCheck(support::CheckpointReader &r, SelfCheckStats &sc)
-{
-    return r.u64(&sc.parityChecks) && r.u64(&sc.parityErrors) &&
-           r.u64(&sc.checksumChecks) && r.u64(&sc.checksumErrors) &&
-           r.u64(&sc.watchdogTrips) && r.u64(&sc.reexecutions) &&
-           r.u64(&sc.reloads) && r.u64(&sc.cpuFallbacks);
-}
-
-bool
-readDoubles(support::CheckpointReader &r, std::vector<double> &v)
-{
-    return r.f64Array(v.data(), v.size());
-}
-
-} // namespace
-
 void
 BatchController::coldStart()
 {
@@ -953,185 +919,105 @@ BatchController::coldStart()
     recorder_.clear();
 }
 
-void
-BatchController::checkpoint(support::CheckpointWriter &w) const
+template <class Self, class Ar>
+bool
+BatchController::visit(Self &b, Ar &ar, const UpgradeCandidate *candidate)
 {
-    const BatchReport &rp = report_;
-    w.u64(solvers_.size());
-    w.boolean(link_ != nullptr);
+    // The worker-pool size is deliberately NOT stored: a checkpoint
+    // written at --threads 4 must restore bitwise into a --threads 1
+    // controller (the determinism contract).
+    auto &rp = b.report_;
+    if (!ar.expect(b.solvers_.size()) || !ar.expect(b.link_ != nullptr))
+        return false;
 
     // Lifetime report: every counter, the last-batch snapshot, and
-    // the histograms. The worker-pool size is deliberately NOT stored
-    // — a checkpoint written at --threads 4 must restore bitwise into
-    // a --threads 1 controller (the determinism contract).
-    w.u64(rp.batches);
-    w.u64(rp.solves);
-    w.u64(rp.totalIterations);
-    w.u64(rp.totalKktFlops);
-    w.u64(rp.unconverged);
-    w.f64(rp.lastBatchSeconds);
-    w.f64(rp.totalBatchSeconds);
-    w.f64(rp.robotsPerSecond);
-    w.u64(rp.lastBatchAllocations);
-    for (SolveStatus s : rp.statuses)
-        w.u32(static_cast<std::uint32_t>(s));
-    w.u64(rp.lastBatchFailures);
-    w.u64(rp.failures);
-    w.u64(rp.lastBatchExceptions);
-    w.u64(rp.exceptions);
-    w.i64(rp.lastExceptionRobot);
-    w.str(rp.lastExceptionMessage);
-    w.u64(rp.lastBatchSaturations);
-    w.u64(rp.lastBatchDivByZeros);
-    w.u64(rp.lastBatchFaultsInjected);
-    w.u64(rp.saturations);
-    w.u64(rp.divByZeros);
-    w.u64(rp.faultsInjected);
-    w.u64(rp.lastBatchNumericDegraded);
-    w.u64(rp.lastBatchAccelFaults);
-    w.u64(rp.accelFaults);
-    checkpointSelfCheck(w, rp.lastBatchSelfCheck);
-    checkpointSelfCheck(w, rp.selfCheck);
-    const OverloadReport &ov = rp.overload;
-    w.f64(ov.budgetSeconds);
-    w.f64(ov.projectedSeconds);
-    w.f64(ov.admittedSeconds);
-    w.f64(ov.utilization);
-    w.u64(ov.overloadedBatches);
-    w.u64(ov.lastBatchDegraded);
-    w.u64(ov.lastBatchServedFromBackup);
-    w.u64(ov.lastBatchShed);
-    w.u64(ov.lastBatchBadInput);
-    w.u64(ov.lastBatchPoisoned);
-    w.u64(ov.degraded);
-    w.u64(ov.servedFromBackup);
-    w.u64(ov.shed);
-    w.u64(ov.badInput);
-    w.u64(ov.poisoned);
-    ov.batchLatency.checkpoint(w);
-    checkpointLinkReport(w, ov.link);
+    // the histograms.
+    if (!ar.u64(rp.batches) || !ar.u64(rp.solves) ||
+        !ar.u64(rp.totalIterations) || !ar.u64(rp.totalKktFlops) ||
+        !ar.u64(rp.unconverged) || !ar.f64(rp.lastBatchSeconds) ||
+        !ar.f64(rp.totalBatchSeconds) || !ar.f64(rp.robotsPerSecond) ||
+        !ar.u64(rp.lastBatchAllocations))
+        return false;
+    for (auto &s : rp.statuses)
+        if (!ar.enum32(s, SolveStatus::Shed))
+            return false;
+    auto &ov = rp.overload;
+    if (!ar.u64(rp.lastBatchFailures) || !ar.u64(rp.failures) ||
+        !ar.u64(rp.lastBatchExceptions) || !ar.u64(rp.exceptions) ||
+        !ar.i64(rp.lastExceptionRobot) ||
+        !ar.str(rp.lastExceptionMessage) ||
+        !ar.u64(rp.lastBatchSaturations) ||
+        !ar.u64(rp.lastBatchDivByZeros) ||
+        !ar.u64(rp.lastBatchFaultsInjected) || !ar.u64(rp.saturations) ||
+        !ar.u64(rp.divByZeros) || !ar.u64(rp.faultsInjected) ||
+        !ar.u64(rp.lastBatchNumericDegraded) ||
+        !ar.u64(rp.lastBatchAccelFaults) || !ar.u64(rp.accelFaults) ||
+        !SelfCheckStats::visit(rp.lastBatchSelfCheck, ar) ||
+        !SelfCheckStats::visit(rp.selfCheck, ar) ||
+        !ar.f64(ov.budgetSeconds) || !ar.f64(ov.projectedSeconds) ||
+        !ar.f64(ov.admittedSeconds) || !ar.f64(ov.utilization) ||
+        !ar.u64(ov.overloadedBatches) || !ar.u64(ov.lastBatchDegraded) ||
+        !ar.u64(ov.lastBatchServedFromBackup) ||
+        !ar.u64(ov.lastBatchShed) || !ar.u64(ov.lastBatchBadInput) ||
+        !ar.u64(ov.lastBatchPoisoned) || !ar.u64(ov.degraded) ||
+        !ar.u64(ov.servedFromBackup) || !ar.u64(ov.shed) ||
+        !ar.u64(ov.badInput) || !ar.u64(ov.poisoned) ||
+        !ar.object(ov.batchLatency) || !LinkReport::visit(ov.link, ar))
+        return false;
 
     // Admission cost model and timeline baselines.
-    w.f64Array(priority_.data(), priority_.size());
-    w.f64Array(ewma_.data(), ewma_.size());
-    w.f64Array(batch_cost_.data(), batch_cost_.size());
-    w.f64(virtual_now_);
-    for (Admit d : prev_decisions_)
-        w.u8(static_cast<std::uint8_t>(d));
-    for (std::uint8_t p : poisoned_)
-        w.u8(p);
+    if (!ar.doubles(b.priority_) || !ar.doubles(b.ewma_) ||
+        !ar.doubles(b.batch_cost_) || !ar.f64(b.virtual_now_))
+        return false;
+    for (auto &d : b.prev_decisions_)
+        if (!ar.enum8(d, Admit::BadInput))
+            return false;
+    for (auto &p : b.poisoned_)
+        if (!ar.u8(p))
+            return false;
 
     // Per-robot serving stacks: solver warm start, backup tail,
     // sensor gate.
-    for (std::size_t i = 0; i < solvers_.size(); ++i) {
-        solvers_[i]->checkpoint(w);
-        backups_[i].checkpoint(w);
-        gates_[i].checkpoint(w);
+    for (std::size_t i = 0; i < b.solvers_.size(); ++i)
+        if (!ar.object(*b.solvers_[i]) || !ar.object(b.backups_[i]) ||
+            !ar.object(b.gates_[i]))
+            return false;
+    if (b.link_ && !ar.object(*b.link_))
+        return false;
+    if (!ar.boolean(b.timeline_enabled_) || !ar.object(b.timeline_) ||
+        !ar.object(b.recorder_))
+        return false;
+
+    bool has_upgrade = b.upgrade_ != nullptr;
+    if (!ar.boolean(has_upgrade))
+        return false;
+    if constexpr (Ar::kReading) {
+        b.upgrade_.reset();
+        if (has_upgrade)
+            b.upgrade_ = std::make_unique<UpgradeManager>(
+                b.options_, b.solvers_.size());
     }
-    if (link_)
-        link_->checkpoint(w);
-    w.boolean(timeline_enabled_);
-    timeline_.checkpoint(w);
-    recorder_.checkpoint(w);
-    w.boolean(upgrade_ != nullptr);
-    if (upgrade_)
-        upgrade_->checkpoint(w);
+    if (has_upgrade && !ar.object(*b.upgrade_, candidate))
+        return false;
+    if constexpr (Ar::kReading)
+        rp.upgrade = has_upgrade ? b.upgrade_->report() : UpgradeReport();
+    return true;
+}
+
+void
+BatchController::checkpoint(support::CheckpointWriter &w) const
+{
+    visit(*this, w, nullptr);
 }
 
 bool
 BatchController::restore(support::CheckpointReader &r,
                          const UpgradeCandidate *candidate)
 {
-    auto fail = [&] {
-        coldStart();
-        return false;
-    };
-    if (r.status() != support::CheckpointStatus::Ok)
-        return fail();
-    std::uint64_t robots = 0;
-    bool has_link = false;
-    if (!r.u64(&robots) || robots != solvers_.size() ||
-        !r.boolean(&has_link) || has_link != (link_ != nullptr))
-        return fail();
-
-    BatchReport &rp = report_;
-    if (!r.u64(&rp.batches) || !r.u64(&rp.solves) ||
-        !r.u64(&rp.totalIterations) || !r.u64(&rp.totalKktFlops) ||
-        !r.u64(&rp.unconverged) || !r.f64(&rp.lastBatchSeconds) ||
-        !r.f64(&rp.totalBatchSeconds) || !r.f64(&rp.robotsPerSecond) ||
-        !r.u64(&rp.lastBatchAllocations))
-        return fail();
-    constexpr auto kMaxStatus =
-        static_cast<std::uint32_t>(SolveStatus::Shed);
-    for (SolveStatus &s : rp.statuses) {
-        std::uint32_t v = 0;
-        if (!r.u32(&v) || v > kMaxStatus)
-            return fail();
-        s = static_cast<SolveStatus>(v);
-    }
-    if (!r.u64(&rp.lastBatchFailures) || !r.u64(&rp.failures) ||
-        !r.u64(&rp.lastBatchExceptions) || !r.u64(&rp.exceptions) ||
-        !r.i64(&rp.lastExceptionRobot) ||
-        !r.str(&rp.lastExceptionMessage) ||
-        !r.u64(&rp.lastBatchSaturations) ||
-        !r.u64(&rp.lastBatchDivByZeros) ||
-        !r.u64(&rp.lastBatchFaultsInjected) ||
-        !r.u64(&rp.saturations) || !r.u64(&rp.divByZeros) ||
-        !r.u64(&rp.faultsInjected) ||
-        !r.u64(&rp.lastBatchNumericDegraded) ||
-        !r.u64(&rp.lastBatchAccelFaults) || !r.u64(&rp.accelFaults) ||
-        !restoreSelfCheck(r, rp.lastBatchSelfCheck) ||
-        !restoreSelfCheck(r, rp.selfCheck))
-        return fail();
-    OverloadReport &ov = rp.overload;
-    if (!r.f64(&ov.budgetSeconds) || !r.f64(&ov.projectedSeconds) ||
-        !r.f64(&ov.admittedSeconds) || !r.f64(&ov.utilization) ||
-        !r.u64(&ov.overloadedBatches) || !r.u64(&ov.lastBatchDegraded) ||
-        !r.u64(&ov.lastBatchServedFromBackup) ||
-        !r.u64(&ov.lastBatchShed) || !r.u64(&ov.lastBatchBadInput) ||
-        !r.u64(&ov.lastBatchPoisoned) || !r.u64(&ov.degraded) ||
-        !r.u64(&ov.servedFromBackup) || !r.u64(&ov.shed) ||
-        !r.u64(&ov.badInput) || !r.u64(&ov.poisoned) ||
-        !ov.batchLatency.restore(r) || !restoreLinkReport(r, ov.link))
-        return fail();
-
-    if (!readDoubles(r, priority_) || !readDoubles(r, ewma_) ||
-        !readDoubles(r, batch_cost_) || !r.f64(&virtual_now_))
-        return fail();
-    constexpr auto kMaxAdmit = static_cast<std::uint8_t>(Admit::BadInput);
-    for (Admit &d : prev_decisions_) {
-        std::uint8_t v = 0;
-        if (!r.u8(&v) || v > kMaxAdmit)
-            return fail();
-        d = static_cast<Admit>(v);
-    }
-    for (std::uint8_t &p : poisoned_)
-        if (!r.u8(&p))
-            return fail();
-
-    for (std::size_t i = 0; i < solvers_.size(); ++i)
-        if (!solvers_[i]->restore(r) || !backups_[i].restore(r) ||
-            !gates_[i].restore(r))
-            return fail();
-    if (link_ && !link_->restore(r))
-        return fail();
-    if (!r.boolean(&timeline_enabled_) || !timeline_.restore(r) ||
-        !recorder_.restore(r))
-        return fail();
-    bool has_upgrade = false;
-    if (!r.boolean(&has_upgrade))
-        return fail();
-    upgrade_.reset();
-    report_.upgrade = UpgradeReport();
-    if (has_upgrade) {
-        auto manager = std::make_unique<UpgradeManager>(
-            options_, solvers_.size());
-        if (!manager->restore(r, candidate))
-            return fail();
-        upgrade_ = std::move(manager);
-        report_.upgrade = upgrade_->report();
-    }
-    return true;
+    if (visit(*this, r, candidate))
+        return true;
+    coldStart();
+    return false;
 }
 
 std::string

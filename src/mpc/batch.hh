@@ -419,6 +419,9 @@ class BatchController
         BadInput, //!< Rejected by input validation; backup command.
     };
 
+    template <class Self, class Ar>
+    static bool visit(Self &b, Ar &ar, const UpgradeCandidate *candidate);
+
     void workerLoop();
     /** Claim-and-solve until the batch's index queue is empty. */
     void drainQueue();

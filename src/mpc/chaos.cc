@@ -9,22 +9,16 @@
 #include <cmath>
 #include <limits>
 
+#include "support/hash.hh"
+
 namespace robox::mpc
 {
 
 namespace
 {
 
-/** splitmix64 finalizer — same permutation as accel/faults.cc, so the
- *  chaos engine inherits its statistical quality and portability. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+using support::mix64;
+using support::uniform;
 
 /** Chained hash of one (channel, batch, robot) identity under one
  *  seed. Distinct per-channel salts keep the stall/burst/poison
@@ -37,13 +31,6 @@ chaosHash(std::uint64_t seed, std::uint64_t salt, std::uint64_t batch,
     h = mix64(h ^ batch);
     h = mix64(h ^ robot);
     return h;
-}
-
-/** Top 53 bits -> uniform double in [0, 1); exact and portable. */
-double
-uniform(std::uint64_t h)
-{
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 constexpr std::uint64_t kStallSalt = 0x7c1592a6b3d84e0full;

@@ -7,7 +7,6 @@
 
 #include <sstream>
 
-#include "mpc/checkpoint_io.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -42,14 +41,17 @@ FlightRecorder::push(const FlightRecord &rec)
         ++count_;
 }
 
+std::size_t
+FlightRecorder::slot(std::size_t i) const
+{
+    return (head_ + ring_.size() - count_ + i) % ring_.size();
+}
+
 const FlightRecord &
 FlightRecorder::record(int i) const
 {
     robox_assert(i >= 0 && i < size());
-    std::size_t idx =
-        (head_ + ring_.size() - count_ + static_cast<std::size_t>(i)) %
-        ring_.size();
-    return ring_[idx];
+    return ring_[slot(static_cast<std::size_t>(i))];
 }
 
 namespace
@@ -91,55 +93,42 @@ FlightRecorder::toJson() const
     return os.str();
 }
 
+template <class Self, class Ar>
+bool
+FlightRecorder::visit(Self &f, Ar &ar)
+{
+    if (!ar.expect(f.ring_.size()) || !ar.u64(f.total_) ||
+        !ar.u64(f.count_) || !ar.require(f.count_ <= f.ring_.size()))
+        return false;
+    // Records travel oldest first. restore() clears the ring first, so
+    // the reader's head_ is 0 and slot() lays the records out so that
+    // the next push() overwrites the oldest, as in the live ring.
+    for (std::size_t i = 0; i < f.count_; ++i) {
+        auto &rec = f.ring_[f.slot(i)];
+        if (!ar.u64(rec.period) || !ar.i32(rec.robot) ||
+            !ar.enum32(rec.status, SolveStatus::Shed) ||
+            !ar.i32(rec.rung) || !ar.i32(rec.sensorVerdict) ||
+            !ar.i32(rec.linkService) || !ar.boolean(rec.degraded) ||
+            !ar.vector(rec.state) || !ar.vector(rec.command))
+            return false;
+    }
+    return true;
+}
+
 void
 FlightRecorder::checkpoint(support::CheckpointWriter &w) const
 {
-    w.u64(ring_.size());
-    w.u64(total_);
-    w.u64(count_);
-    for (int i = 0; i < size(); ++i) {
-        const FlightRecord &rec = record(i);
-        w.u64(rec.period);
-        w.i32(rec.robot);
-        w.u32(static_cast<std::uint32_t>(rec.status));
-        w.i32(rec.rung);
-        w.i32(rec.sensorVerdict);
-        w.i32(rec.linkService);
-        w.boolean(rec.degraded);
-        writeVector(w, rec.state);
-        writeVector(w, rec.command);
-    }
+    visit(*this, w);
 }
 
 bool
 FlightRecorder::restore(support::CheckpointReader &r)
 {
-    std::uint64_t capacity = 0;
-    std::uint64_t total = 0;
-    std::uint64_t count = 0;
-    if (!r.u64(&capacity) || !r.u64(&total) || !r.u64(&count) ||
-        capacity != ring_.size() || count > capacity) {
-        clear();
-        return false;
-    }
     clear();
-    FlightRecord rec;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint32_t status = 0;
-        if (!r.u64(&rec.period) || !r.i32(&rec.robot) ||
-            !r.u32(&status) ||
-            status > static_cast<std::uint32_t>(SolveStatus::Shed) ||
-            !r.i32(&rec.rung) || !r.i32(&rec.sensorVerdict) ||
-            !r.i32(&rec.linkService) || !r.boolean(&rec.degraded) ||
-            !readVector(r, rec.state) || !readVector(r, rec.command)) {
-            clear();
-            return false;
-        }
-        rec.status = static_cast<SolveStatus>(status);
-        push(rec);
-    }
-    total_ = total;
-    return true;
+    if (visit(*this, r))
+        return true;
+    clear();
+    return false;
 }
 
 } // namespace robox::mpc

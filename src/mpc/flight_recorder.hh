@@ -89,6 +89,11 @@ class FlightRecorder
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Self, class Ar> static bool visit(Self &f, Ar &ar);
+
+    /** Ring index of the i-th retained record, oldest first. */
+    std::size_t slot(std::size_t i) const;
+
     std::vector<FlightRecord> ring_;
     std::size_t head_ = 0;  //!< Next write slot.
     std::size_t count_ = 0; //!< Retained records.

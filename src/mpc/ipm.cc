@@ -12,7 +12,6 @@
 #include <cmath>
 #include <limits>
 
-#include "mpc/checkpoint_io.hh"
 #include "support/alloc_hook.hh"
 #include "support/logging.hh"
 
@@ -960,95 +959,65 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
     return finish(final_status);
 }
 
-namespace
-{
-
-/** readVector with a layout check: the destination keeps its
- *  construction-time size, so a mismatched payload fails instead of
- *  silently resizing solver storage. */
+template <class Self, class Ar>
 bool
-readVectorExact(support::CheckpointReader &r, Vector &v)
+IpmSolver::visit(Self &s, Ar &ar)
 {
-    std::uint64_t n = 0;
-    if (!r.u64(&n) || n != v.size())
+    // xs_/us_ stay empty until the first solve(), so the payload may
+    // carry either nothing or a full trajectory; the reader sizes the
+    // in-memory storage from the problem dimensions, never from the
+    // payload.
+    auto trajectory = [&ar](auto &vs, int stages, int dim) {
+        std::uint64_t n = vs.size();
+        if (!ar.u64(n) ||
+            !ar.require(n == 0 || n == static_cast<std::uint64_t>(stages)))
+            return false;
+        if constexpr (Ar::kReading)
+            vs.assign(static_cast<std::size_t>(n),
+                      Vector(static_cast<std::size_t>(dim)));
+        for (auto &v : vs)
+            if (!ar.vectorExact(v))
+                return false;
+        return true;
+    };
+    const MpcProblem &p = s.problem_;
+    if (!ar.boolean(s.warm_) ||
+        !trajectory(s.xs_, p.horizon() + 1, p.nx()) ||
+        !trajectory(s.us_, p.horizon(), p.nu()) ||
+        !ar.expect(s.ineq_.size()))
         return false;
-    return r.f64Array(v.data(), v.size());
+    for (auto &blk : s.ineq_)
+        if (!ar.vectorExact(blk.s) || !ar.vectorExact(blk.lam))
+            return false;
+    // result_.u0 is likewise empty until the first solve: 0 or nu
+    // entries, never a payload-chosen size.
+    auto &u0 = s.result_.u0;
+    std::uint64_t n = u0.size();
+    if (!ar.u64(n) ||
+        !ar.require(n == 0 || n == static_cast<std::uint64_t>(p.nu())))
+        return false;
+    if constexpr (Ar::kReading)
+        u0.resize(static_cast<std::size_t>(n));
+    return ar.f64Array(u0.data(), u0.size()) &&
+           ar.boolean(s.result_.converged) &&
+           ar.i32(s.result_.iterations) && ar.f64(s.result_.objective) &&
+           ar.enum32(s.result_.status, SolveStatus::Shed) &&
+           ar.boolean(s.result_.degraded);
 }
-
-
-} // namespace
 
 void
 IpmSolver::checkpoint(support::CheckpointWriter &w) const
 {
-    w.boolean(warm_);
-    writeVectorList(w, xs_);
-    writeVectorList(w, us_);
-    w.u64(ineq_.size());
-    for (const IneqBlock &blk : ineq_) {
-        writeVector(w, blk.s);
-        writeVector(w, blk.lam);
-    }
-    writeVector(w, result_.u0);
-    w.boolean(result_.converged);
-    w.i32(result_.iterations);
-    w.f64(result_.objective);
-    w.u32(static_cast<std::uint32_t>(result_.status));
-    w.boolean(result_.degraded);
+    visit(*this, w);
 }
 
 bool
 IpmSolver::restore(support::CheckpointReader &r)
 {
-    std::uint64_t blocks = 0;
-    std::uint32_t status = 0;
-    // xs_/us_ stay empty until the first solve(), so the payload may
-    // carry either nothing or a full trajectory; size the in-memory
-    // storage from the problem dimensions, never from the payload.
-    const auto stages = static_cast<std::uint64_t>(problem_.horizon());
-    const auto nx = static_cast<std::uint64_t>(problem_.nx());
-    const auto nu = static_cast<std::uint64_t>(problem_.nu());
-    auto read_traj = [&](std::vector<Vector> &vs, std::uint64_t count,
-                         std::uint64_t dim) {
-        std::uint64_t n = 0;
-        if (!r.u64(&n) || (n != 0 && n != count))
-            return false;
-        vs.assign(static_cast<std::size_t>(n),
-                  Vector(static_cast<std::size_t>(dim)));
-        for (Vector &v : vs)
-            if (!readVectorExact(r, v))
-                return false;
+    if (visit(*this, r))
         return true;
-    };
-    bool ok = r.boolean(&warm_) && read_traj(xs_, stages + 1, nx) &&
-              read_traj(us_, stages, nu) && r.u64(&blocks) &&
-              blocks == ineq_.size();
-    for (std::size_t k = 0; ok && k < ineq_.size(); ++k)
-        ok = readVectorExact(r, ineq_[k].s) &&
-             readVectorExact(r, ineq_[k].lam);
-    // result_.u0 is empty until the first solve, so the restored size
-    // may legitimately differ from the in-memory one — but only ever
-    // 0 (never solved) or the input dimension.
-    auto read_u0 = [&] {
-        std::uint64_t n = 0;
-        if (!r.u64(&n) ||
-            (n != 0 && n != static_cast<std::uint64_t>(problem_.nu())))
-            return false;
-        if (result_.u0.size() != n)
-            result_.u0.resize(static_cast<std::size_t>(n));
-        return r.f64Array(result_.u0.data(), result_.u0.size());
-    };
-    ok = ok && read_u0() &&
-         r.boolean(&result_.converged) && r.i32(&result_.iterations) &&
-         r.f64(&result_.objective) && r.u32(&status) &&
-         status <= static_cast<std::uint32_t>(SolveStatus::Shed) &&
-         r.boolean(&result_.degraded);
-    if (!ok) {
-        warm_ = false;
-        return false;
-    }
-    result_.status = static_cast<SolveStatus>(status);
-    return true;
+    warm_ = false;
+    return false;
 }
 
 } // namespace robox::mpc

@@ -195,6 +195,8 @@ class IpmSolver
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Self, class Ar> static bool visit(Self &s, Ar &ar);
+
     /** Per-stage slack/dual block. */
     struct IneqBlock
     {

@@ -6,10 +6,8 @@
 #include "mpc/link.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
-#include "mpc/checkpoint_io.hh"
 #include "support/logging.hh"
 
 namespace robox::mpc
@@ -489,154 +487,61 @@ FleetLink::reset()
     std::fill(came_up_.begin(), came_up_.end(), 0);
 }
 
-namespace
-{
-
-/** The LinkReport counters in one fixed, append-only order. */
-template <typename Report>
-auto
-linkCounters(Report &report)
-{
-    return std::array{&report.uplinkSent,        &report.uplinkDropped,
-                      &report.uplinkDelivered,   &report.uplinkDuplicates,
-                      &report.uplinkReordered,   &report.downlinkSent,
-                      &report.downlinkDropped,   &report.downlinkDelivered,
-                      &report.downlinkDuplicates, &report.downlinkReordered,
-                      &report.retransmits,       &report.acksDelivered,
-                      &report.planMisses,        &report.statesExtrapolated,
-                      &report.staleDemotions,    &report.linkDownEvents,
-                      &report.linkUpEvents,      &report.linkDownRobotPeriods};
-}
-
-} // namespace
-
-void
-checkpointLinkReport(support::CheckpointWriter &w,
-                     const LinkReport &report)
-{
-    for (const std::uint64_t *c : linkCounters(report))
-        w.u64(*c);
-    report.deliveryLatency.checkpoint(w);
-    report.staleness.checkpoint(w);
-}
-
+template <class Self, class Ar>
 bool
-restoreLinkReport(support::CheckpointReader &r, LinkReport &report)
+FleetLink::visit(Self &l, Ar &ar)
 {
-    for (std::uint64_t *c : linkCounters(report))
-        if (!r.u64(c))
+    if (!ar.expect(l.endpoints_.size()) || !ar.u64(l.period_))
+        return false;
+    for (std::size_t i = 0; i < l.endpoints_.size(); ++i) {
+        auto &e = l.endpoints_[i];
+        if (!ar.length(e.uplinkQueue))
             return false;
-    return report.deliveryLatency.restore(r) &&
-           report.staleness.restore(r);
+        for (auto &m : e.uplinkQueue)
+            if (!ar.u64(m.seq) || !ar.u64(m.sent) ||
+                !ar.u64(m.deliverAt) || !ar.u64(m.ackSeq) ||
+                !ar.boolean(m.duplicate) || !ar.vector(m.state))
+                return false;
+        if (!ar.length(e.downlinkQueue))
+            return false;
+        for (auto &m : e.downlinkQueue)
+            if (!ar.u64(m.seq) || !ar.u64(m.sent) ||
+                !ar.u64(m.deliverAt) || !ar.boolean(m.duplicate) ||
+                !ar.vectorList(m.plan))
+                return false;
+        if (!ar.u64(e.lastFreshSeq) || !ar.vector(e.lastFreshState) ||
+            !ar.u64(e.lastAnyDelivery) || !ar.u64(e.maxUpSeqDelivered) ||
+            !ar.u64(e.lastPlanSeq) || !ar.vectorList(e.lastPlan) ||
+            !ar.u64(e.ackedSeq) || !ar.u64(e.nextRetry) ||
+            !ar.u64(e.retryInterval) ||
+            !ar.boolean(e.planSentThisPeriod) || !ar.u64(e.bufferedSeq) ||
+            !ar.u64(e.maxDownSeqDelivered) || !ar.object(e.latency) ||
+            !ar.object(e.staleness) || !ar.object(l.buffers_[i]) ||
+            !ar.vector(l.served_[i]) || !ar.vector(l.exec_[i]) ||
+            !ar.enum8(l.service_[i], Service::Down) ||
+            !ar.u8(l.down_[i]) || !ar.u8(l.fresh_exec_[i]) ||
+            !ar.u8(l.extrapolated_[i]) || !ar.u8(l.stale_demoted_[i]) ||
+            !ar.u8(l.plan_missed_[i]) || !ar.u8(l.went_down_[i]) ||
+            !ar.u8(l.came_up_[i]))
+            return false;
+    }
+    return LinkReport::visit(l.totals_, ar);
 }
 
 void
 FleetLink::checkpoint(support::CheckpointWriter &w) const
 {
-    w.u64(endpoints_.size());
-    w.u64(period_);
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        const Endpoint &e = endpoints_[i];
-        w.u64(e.uplinkQueue.size());
-        for (const UplinkMsg &m : e.uplinkQueue) {
-            w.u64(m.seq);
-            w.u64(m.sent);
-            w.u64(m.deliverAt);
-            w.u64(m.ackSeq);
-            w.boolean(m.duplicate);
-            writeVector(w, m.state);
-        }
-        w.u64(e.downlinkQueue.size());
-        for (const DownlinkMsg &m : e.downlinkQueue) {
-            w.u64(m.seq);
-            w.u64(m.sent);
-            w.u64(m.deliverAt);
-            w.boolean(m.duplicate);
-            writeVectorList(w, m.plan);
-        }
-        w.u64(e.lastFreshSeq);
-        writeVector(w, e.lastFreshState);
-        w.u64(e.lastAnyDelivery);
-        w.u64(e.maxUpSeqDelivered);
-        w.u64(e.lastPlanSeq);
-        writeVectorList(w, e.lastPlan);
-        w.u64(e.ackedSeq);
-        w.u64(e.nextRetry);
-        w.u64(e.retryInterval);
-        w.boolean(e.planSentThisPeriod);
-        w.u64(e.bufferedSeq);
-        w.u64(e.maxDownSeqDelivered);
-        e.latency.checkpoint(w);
-        e.staleness.checkpoint(w);
-        buffers_[i].checkpoint(w);
-        writeVector(w, served_[i]);
-        writeVector(w, exec_[i]);
-        w.u8(static_cast<std::uint8_t>(service_[i]));
-        w.u8(down_[i]);
-        w.u8(fresh_exec_[i]);
-        w.u8(extrapolated_[i]);
-        w.u8(stale_demoted_[i]);
-        w.u8(plan_missed_[i]);
-        w.u8(went_down_[i]);
-        w.u8(came_up_[i]);
-    }
-    checkpointLinkReport(w, totals_);
+    visit(*this, w);
 }
 
 bool
 FleetLink::restore(support::CheckpointReader &r)
 {
-    auto fail = [&] {
-        reset();
-        totals_ = LinkReport();
-        return false;
-    };
-    std::uint64_t robots = 0;
-    if (!r.u64(&robots) || robots != endpoints_.size())
-        return fail();
-    if (!r.u64(&period_))
-        return fail();
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        Endpoint &e = endpoints_[i];
-        std::uint64_t n = 0;
-        if (!r.u64(&n))
-            return fail();
-        e.uplinkQueue.resize(static_cast<std::size_t>(n));
-        for (UplinkMsg &m : e.uplinkQueue)
-            if (!r.u64(&m.seq) || !r.u64(&m.sent) ||
-                !r.u64(&m.deliverAt) || !r.u64(&m.ackSeq) ||
-                !r.boolean(&m.duplicate) || !readVector(r, m.state))
-                return fail();
-        if (!r.u64(&n))
-            return fail();
-        e.downlinkQueue.resize(static_cast<std::size_t>(n));
-        for (DownlinkMsg &m : e.downlinkQueue)
-            if (!r.u64(&m.seq) || !r.u64(&m.sent) ||
-                !r.u64(&m.deliverAt) || !r.boolean(&m.duplicate) ||
-                !readVectorList(r, m.plan))
-                return fail();
-        std::uint8_t service = 0;
-        if (!r.u64(&e.lastFreshSeq) || !readVector(r, e.lastFreshState) ||
-            !r.u64(&e.lastAnyDelivery) || !r.u64(&e.maxUpSeqDelivered) ||
-            !r.u64(&e.lastPlanSeq) || !readVectorList(r, e.lastPlan) ||
-            !r.u64(&e.ackedSeq) || !r.u64(&e.nextRetry) ||
-            !r.u64(&e.retryInterval) ||
-            !r.boolean(&e.planSentThisPeriod) || !r.u64(&e.bufferedSeq) ||
-            !r.u64(&e.maxDownSeqDelivered) || !e.latency.restore(r) ||
-            !e.staleness.restore(r) || !buffers_[i].restore(r) ||
-            !readVector(r, served_[i]) || !readVector(r, exec_[i]) ||
-            !r.u8(&service) ||
-            service > static_cast<std::uint8_t>(Service::Down) ||
-            !r.u8(&down_[i]) || !r.u8(&fresh_exec_[i]) ||
-            !r.u8(&extrapolated_[i]) || !r.u8(&stale_demoted_[i]) ||
-            !r.u8(&plan_missed_[i]) || !r.u8(&went_down_[i]) ||
-            !r.u8(&came_up_[i]))
-            return fail();
-        service_[i] = static_cast<Service>(service);
-    }
-    if (!restoreLinkReport(r, totals_))
-        return fail();
-    return true;
+    if (visit(*this, r))
+        return true;
+    reset();
+    totals_ = LinkReport();
+    return false;
 }
 
 } // namespace robox::mpc

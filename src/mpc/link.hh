@@ -123,15 +123,27 @@ struct LinkReport
     stats::Histogram staleness{"link_staleness_periods",
                                "Served measurement age, periods", 0.0,
                                16.0, 16};
+
+    /** Checkpoint field list (support/checkpoint.hh): the counters in
+     *  one fixed, append-only order, then both histograms. */
+    template <class Self, class Ar>
+    static bool
+    visit(Self &r, Ar &ar)
+    {
+        for (auto *c : {&r.uplinkSent, &r.uplinkDropped,
+                        &r.uplinkDelivered, &r.uplinkDuplicates,
+                        &r.uplinkReordered, &r.downlinkSent,
+                        &r.downlinkDropped, &r.downlinkDelivered,
+                        &r.downlinkDuplicates, &r.downlinkReordered,
+                        &r.retransmits, &r.acksDelivered, &r.planMisses,
+                        &r.statesExtrapolated, &r.staleDemotions,
+                        &r.linkDownEvents, &r.linkUpEvents,
+                        &r.linkDownRobotPeriods})
+            if (!ar.u64(*c))
+                return false;
+        return ar.object(r.deliveryLatency) && ar.object(r.staleness);
+    }
 };
-
-/** Serialize every LinkReport counter and histogram. */
-void checkpointLinkReport(support::CheckpointWriter &w,
-                          const LinkReport &report);
-
-/** Restore a LinkReport written by checkpointLinkReport(); false on a
- *  short payload or histogram-shape mismatch. */
-bool restoreLinkReport(support::CheckpointReader &r, LinkReport &report);
 
 /**
  * The duplex link fabric for one fleet: per-robot uplink/downlink
@@ -281,6 +293,8 @@ class FleetLink
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Self, class Ar> static bool visit(Self &l, Ar &ar);
+
     /** Sentinel for "no sequence number seen yet". */
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 

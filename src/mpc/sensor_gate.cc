@@ -7,8 +7,6 @@
 
 #include <cmath>
 
-#include "mpc/checkpoint_io.hh"
-
 namespace robox::mpc
 {
 
@@ -130,31 +128,30 @@ SensorGate::check(const Vector &x)
     return verdict;
 }
 
+template <class Self, class Ar>
+bool
+SensorGate::visit(Self &g, Ar &ar)
+{
+    return ar.vector(g.baseline_) && ar.boolean(g.has_baseline_) &&
+           ar.i32(g.frozen_streak_) && ar.i32(g.jump_streak_) &&
+           ar.enum32(g.last_verdict_, SensorVerdict::Frozen) &&
+           ar.u64(g.rejected_);
+}
+
 void
 SensorGate::checkpoint(support::CheckpointWriter &w) const
 {
-    writeVector(w, baseline_);
-    w.boolean(has_baseline_);
-    w.i32(frozen_streak_);
-    w.i32(jump_streak_);
-    w.u32(static_cast<std::uint32_t>(last_verdict_));
-    w.u64(rejected_);
+    visit(*this, w);
 }
 
 bool
 SensorGate::restore(support::CheckpointReader &r)
 {
-    std::uint32_t verdict = 0;
-    if (!readVector(r, baseline_) || !r.boolean(&has_baseline_) ||
-        !r.i32(&frozen_streak_) || !r.i32(&jump_streak_) ||
-        !r.u32(&verdict) || !r.u64(&rejected_) ||
-        verdict > static_cast<std::uint32_t>(SensorVerdict::Frozen)) {
-        reset();
-        rejected_ = 0;
-        return false;
-    }
-    last_verdict_ = static_cast<SensorVerdict>(verdict);
-    return true;
+    if (visit(*this, r))
+        return true;
+    reset();
+    rejected_ = 0;
+    return false;
 }
 
 void

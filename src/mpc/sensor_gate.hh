@@ -92,6 +92,8 @@ class SensorGate
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Self, class Ar> static bool visit(Self &g, Ar &ar);
+
     const dsl::ModelSpec *model_;
     double range_margin_;
     double jump_threshold_;

@@ -138,6 +138,8 @@ class FleetTimeline
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Self, class Ar> static bool visit(Self &t, Ar &ar);
+
     std::vector<SolveSpan> spans_;
     std::vector<Marker> markers_;
 };

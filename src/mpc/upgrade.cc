@@ -6,10 +6,12 @@
 #include "mpc/upgrade.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 
 #include "compiler/binary.hh"
+#include "support/hash.hh"
 
 namespace robox::mpc
 {
@@ -17,33 +19,22 @@ namespace robox::mpc
 namespace
 {
 
-/** splitmix64 finalizer — same permutation as mpc/chaos.cc, so canary
- *  selection inherits its statistical quality and portability. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Top 53 bits -> uniform double in [0, 1); exact and portable. */
-double
-uniform(std::uint64_t h)
-{
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 constexpr std::uint64_t kCanarySalt = 0x9c4a1e8f52d7b306ull;
+
+/** The model shape a live upgrade must preserve (nx, nu, nref, N). */
+std::array<std::int32_t, 4>
+problemShape(const MpcProblem &p)
+{
+    return {p.nx(), p.nu(), p.nref(), p.horizon()};
+}
 
 /** Canary-selection draw for one robot under one seed. */
 double
 canaryDraw(std::uint64_t seed, std::size_t robot)
 {
-    std::uint64_t h = mix64(seed ^ kCanarySalt);
-    h = mix64(h ^ static_cast<std::uint64_t>(robot));
-    return uniform(h);
+    std::uint64_t h = support::mix64(seed ^ kCanarySalt);
+    h = support::mix64(h ^ static_cast<std::uint64_t>(robot));
+    return support::uniform(h);
 }
 
 /** A solve outcome the fault-rate guard counts against its version. */
@@ -146,10 +137,8 @@ UpgradeManager::schedule(const UpgradeCandidate &candidate,
     // Shape gate: the live-upgrade contract swaps the controller, not
     // the plant interface. nx/nu/nref/horizon must all match so the
     // incumbent's backup plans, gates, and checkpoints stay valid.
-    const MpcProblem &cand = candidate_solvers_[0]->problem();
-    if (cand.nx() != incumbent.nx() || cand.nu() != incumbent.nu() ||
-        cand.nref() != incumbent.nref() ||
-        cand.horizon() != incumbent.horizon()) {
+    if (problemShape(candidate_solvers_[0]->problem()) !=
+        problemShape(incumbent)) {
         dropCandidateSolvers();
         ++report_.rejectedIncompatible;
         report_.phase = static_cast<std::uint8_t>(phase_);
@@ -468,146 +457,93 @@ UpgradeManager::resetSolvers()
         s->reset();
 }
 
+template <class Self, class Ar>
+bool
+UpgradeManager::visit(Self &m, Ar &ar, const UpgradeCandidate *candidate)
+{
+    auto &rp = m.report_;
+    if (!ar.enum8(m.phase_, UpgradePhase::Rejected) ||
+        !ar.u64(m.phase_periods_) || !ar.u32(rp.version) ||
+        !ar.u64(rp.scheduled) || !ar.u64(rp.rejectedImages) ||
+        !ar.u64(rp.rejectedIncompatible) || !ar.u64(rp.committed) ||
+        !ar.u64(rp.rolledBack) || !ar.u64(rp.rejectedCandidates) ||
+        !ar.u64(rp.shadowSolves) || !ar.u64(rp.canaryRobots) ||
+        !ar.u64(rp.divergenceWarns) || !ar.u64(rp.divergenceFails) ||
+        !ar.f64(rp.maxDivergence) || !ar.f64(rp.incumbentCostEwma) ||
+        !ar.f64(rp.candidateCostEwma) || !ar.u64(rp.rollbackDivergence) ||
+        !ar.u64(rp.rollbackFaultRate) || !ar.u64(rp.rollbackLatency) ||
+        !ar.u64(m.incumbent_solves_) || !ar.u64(m.incumbent_bad_) ||
+        !ar.u64(m.candidate_solves_) || !ar.u64(m.candidate_bad_))
+        return false;
+    for (auto &v : m.serving_)
+        if (!ar.u8(v) || !ar.require(v <= 1))
+            return false;
+    for (auto &v : m.canary_)
+        if (!ar.u8(v) || !ar.require(v <= 1))
+            return false;
+    if (!ar.length(m.pending_markers_) ||
+        !ar.require(m.pending_markers_.size() <= 16 * m.num_robots_ + 16))
+        return false;
+    for (auto &pm : m.pending_markers_)
+        if (!ar.enum8(pm.kind, TimelineMarker::CanarySwitched) ||
+            !ar.u32(pm.robot))
+            return false;
+
+    bool has_solvers = !m.candidate_solvers_.empty();
+    if (!ar.boolean(has_solvers))
+        return false;
+    if (!has_solvers) {
+        if constexpr (Ar::kReading)
+            m.dropCandidateSolvers();
+        return true;
+    }
+    // Candidate identity: enough to refuse a restore against the wrong
+    // candidate. The solvers themselves are rebuilt from the
+    // re-supplied UpgradeCandidate, then their warm state is restored.
+    std::string image(m.candidate_.image.begin(),
+                      m.candidate_.image.end());
+    std::array<std::int32_t, 4> shape{};
+    double cost_scale = m.candidate_.modeledCostScale;
+    if constexpr (!Ar::kReading)
+        shape = problemShape(m.candidate_solvers_[0]->problem());
+    if (!ar.str(image) || !ar.i32(shape[0]) || !ar.i32(shape[1]) ||
+        !ar.i32(shape[2]) || !ar.i32(shape[3]) || !ar.f64(cost_scale))
+        return false;
+    if constexpr (Ar::kReading) {
+        if (!candidate ||
+            std::string(candidate->image.begin(),
+                        candidate->image.end()) != image ||
+            candidate->modeledCostScale != cost_scale ||
+            !m.buildSolvers(*candidate, m.num_robots_))
+            return false;
+        if (problemShape(m.candidate_solvers_[0]->problem()) != shape) {
+            m.dropCandidateSolvers();
+            return false;
+        }
+        m.candidate_ = *candidate;
+    }
+    for (const auto &s : m.candidate_solvers_)
+        if (!ar.object(*s)) {
+            if constexpr (Ar::kReading)
+                m.dropCandidateSolvers();
+            return false;
+        }
+    return true;
+}
+
 void
 UpgradeManager::checkpoint(support::CheckpointWriter &w) const
 {
-    w.u8(static_cast<std::uint8_t>(phase_));
-    w.u64(phase_periods_);
-    const UpgradeReport &rp = report_;
-    w.u32(rp.version);
-    w.u64(rp.scheduled);
-    w.u64(rp.rejectedImages);
-    w.u64(rp.rejectedIncompatible);
-    w.u64(rp.committed);
-    w.u64(rp.rolledBack);
-    w.u64(rp.rejectedCandidates);
-    w.u64(rp.shadowSolves);
-    w.u64(rp.canaryRobots);
-    w.u64(rp.divergenceWarns);
-    w.u64(rp.divergenceFails);
-    w.f64(rp.maxDivergence);
-    w.f64(rp.incumbentCostEwma);
-    w.f64(rp.candidateCostEwma);
-    w.u64(rp.rollbackDivergence);
-    w.u64(rp.rollbackFaultRate);
-    w.u64(rp.rollbackLatency);
-    w.u64(incumbent_solves_);
-    w.u64(incumbent_bad_);
-    w.u64(candidate_solves_);
-    w.u64(candidate_bad_);
-    for (std::uint8_t v : serving_)
-        w.u8(v);
-    for (std::uint8_t v : canary_)
-        w.u8(v);
-    w.u64(pending_markers_.size());
-    for (const PendingMarker &m : pending_markers_) {
-        w.u8(static_cast<std::uint8_t>(m.kind));
-        w.u32(m.robot);
-    }
-
-    const bool has_solvers = !candidate_solvers_.empty();
-    w.boolean(has_solvers);
-    if (!has_solvers)
-        return;
-    // Candidate identity — enough to refuse a restore against the
-    // wrong candidate. The solvers themselves are rebuilt from the
-    // re-supplied UpgradeCandidate, then restored below.
-    std::string image(candidate_.image.begin(), candidate_.image.end());
-    w.str(image);
-    const MpcProblem &p = candidate_solvers_[0]->problem();
-    w.i32(p.nx());
-    w.i32(p.nu());
-    w.i32(p.nref());
-    w.i32(p.horizon());
-    w.f64(candidate_.modeledCostScale);
-    for (const auto &s : candidate_solvers_)
-        s->checkpoint(w);
+    visit(*this, w, nullptr);
 }
 
 bool
 UpgradeManager::restore(support::CheckpointReader &r,
                         const UpgradeCandidate *candidate)
 {
-    std::uint8_t phase = 0;
-    constexpr auto kMaxPhase =
-        static_cast<std::uint8_t>(UpgradePhase::Rejected);
-    if (!r.u8(&phase) || phase > kMaxPhase || !r.u64(&phase_periods_))
-        return false;
-    phase_ = static_cast<UpgradePhase>(phase);
-    UpgradeReport &rp = report_;
-    if (!r.u32(&rp.version) || !r.u64(&rp.scheduled) ||
-        !r.u64(&rp.rejectedImages) ||
-        !r.u64(&rp.rejectedIncompatible) || !r.u64(&rp.committed) ||
-        !r.u64(&rp.rolledBack) || !r.u64(&rp.rejectedCandidates) ||
-        !r.u64(&rp.shadowSolves) || !r.u64(&rp.canaryRobots) ||
-        !r.u64(&rp.divergenceWarns) || !r.u64(&rp.divergenceFails) ||
-        !r.f64(&rp.maxDivergence) || !r.f64(&rp.incumbentCostEwma) ||
-        !r.f64(&rp.candidateCostEwma) ||
-        !r.u64(&rp.rollbackDivergence) ||
-        !r.u64(&rp.rollbackFaultRate) || !r.u64(&rp.rollbackLatency) ||
-        !r.u64(&incumbent_solves_) || !r.u64(&incumbent_bad_) ||
-        !r.u64(&candidate_solves_) || !r.u64(&candidate_bad_))
-        return false;
-    rp.phase = static_cast<std::uint8_t>(phase_);
-    for (std::uint8_t &v : serving_)
-        if (!r.u8(&v) || v > 1)
-            return false;
-    for (std::uint8_t &v : canary_)
-        if (!r.u8(&v) || v > 1)
-            return false;
-    std::uint64_t n_pending = 0;
-    if (!r.u64(&n_pending) || n_pending > 16 * num_robots_ + 16)
-        return false;
-    constexpr auto kMaxMarker =
-        static_cast<std::uint8_t>(TimelineMarker::CanarySwitched);
-    pending_markers_.clear();
-    for (std::uint64_t i = 0; i < n_pending; ++i) {
-        std::uint8_t kind = 0;
-        std::uint32_t robot = 0;
-        if (!r.u8(&kind) || kind > kMaxMarker || !r.u32(&robot))
-            return false;
-        pending_markers_.push_back(PendingMarker{
-            static_cast<TimelineMarker>(kind), robot});
-    }
-
-    bool has_solvers = false;
-    if (!r.boolean(&has_solvers))
-        return false;
-    if (!has_solvers) {
-        dropCandidateSolvers();
-        return true;
-    }
-    std::string image;
-    std::int32_t nx = 0;
-    std::int32_t nu = 0;
-    std::int32_t nref = 0;
-    std::int32_t horizon = 0;
-    double cost_scale = 0.0;
-    if (!r.str(&image) || !r.i32(&nx) || !r.i32(&nu) ||
-        !r.i32(&nref) || !r.i32(&horizon) || !r.f64(&cost_scale))
-        return false;
-    if (!candidate)
-        return false;
-    const std::string supplied(candidate->image.begin(),
-                               candidate->image.end());
-    if (supplied != image ||
-        candidate->modeledCostScale != cost_scale)
-        return false;
-    if (!buildSolvers(*candidate, num_robots_))
-        return false;
-    const MpcProblem &p = candidate_solvers_[0]->problem();
-    if (p.nx() != nx || p.nu() != nu || p.nref() != nref ||
-        p.horizon() != horizon) {
-        dropCandidateSolvers();
-        return false;
-    }
-    candidate_ = *candidate;
-    for (auto &s : candidate_solvers_)
-        if (!s->restore(r)) {
-            dropCandidateSolvers();
-            return false;
-        }
-    return true;
+    const bool ok = visit(*this, r, candidate);
+    report_.phase = static_cast<std::uint8_t>(phase_);
+    return ok;
 }
 
 } // namespace robox::mpc

@@ -261,6 +261,9 @@ class UpgradeManager
                  const UpgradeCandidate *candidate);
 
   private:
+    template <class Self, class Ar>
+    static bool visit(Self &m, Ar &ar, const UpgradeCandidate *candidate);
+
     /** Per-robot scratch a worker fills for its own slot only. */
     struct PairSample
     {

@@ -65,23 +65,26 @@ getU64(const char *p)
 
 } // namespace
 
-void
+bool
 CheckpointWriter::u32(std::uint32_t v)
 {
     putU32(payload_, v);
+    return true;
 }
 
-void
+bool
 CheckpointWriter::u64(std::uint64_t v)
 {
     putU64(payload_, v);
+    return true;
 }
 
-void
+bool
 CheckpointWriter::str(const std::string &s)
 {
     u64(s.size());
     payload_.append(s);
+    return true;
 }
 
 std::string
@@ -145,68 +148,68 @@ CheckpointReader::take(void *out, std::size_t n)
 }
 
 bool
-CheckpointReader::u8(std::uint8_t *out)
+CheckpointReader::u8(std::uint8_t &out)
 {
-    return take(out, 1);
+    return take(&out, 1);
 }
 
 bool
-CheckpointReader::u32(std::uint32_t *out)
+CheckpointReader::u32(std::uint32_t &out)
 {
     char buf[4];
     if (!take(buf, sizeof buf))
         return false;
-    *out = getU32(buf);
+    out = getU32(buf);
     return true;
 }
 
 bool
-CheckpointReader::u64(std::uint64_t *out)
+CheckpointReader::u64(std::uint64_t &out)
 {
     char buf[8];
     if (!take(buf, sizeof buf))
         return false;
-    *out = getU64(buf);
+    out = getU64(buf);
     return true;
 }
 
 bool
-CheckpointReader::i32(std::int32_t *out)
+CheckpointReader::i32(std::int32_t &out)
 {
     std::uint32_t v;
-    if (!u32(&v))
+    if (!u32(v))
         return false;
-    *out = static_cast<std::int32_t>(v);
+    out = static_cast<std::int32_t>(v);
     return true;
 }
 
 bool
-CheckpointReader::i64(std::int64_t *out)
+CheckpointReader::i64(std::int64_t &out)
 {
     std::uint64_t v;
-    if (!u64(&v))
+    if (!u64(v))
         return false;
-    *out = static_cast<std::int64_t>(v);
+    out = static_cast<std::int64_t>(v);
     return true;
 }
 
 bool
-CheckpointReader::boolean(bool *out)
+CheckpointReader::boolean(bool &out)
 {
     std::uint8_t v;
-    if (!u8(&v))
+    if (!u8(v))
         return false;
-    *out = v != 0;
+    out = v != 0;
     return true;
 }
 
 bool
-CheckpointReader::f64(double *out)
+CheckpointReader::f64(double &out)
 {
     std::uint64_t bits;
-    if (!u64(&bits))
+    if (!u64(bits))
         return false;
-    std::memcpy(out, &bits, sizeof bits);
+    std::memcpy(&out, &bits, sizeof bits);
     return true;
 }
 
@@ -214,22 +217,24 @@ bool
 CheckpointReader::f64Array(double *p, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
-        if (!f64(&p[i]))
+        if (!f64(p[i]))
             return false;
     return true;
 }
 
 bool
-CheckpointReader::str(std::string *out)
+CheckpointReader::count(std::uint64_t &n)
+{
+    return u64(n) && require(n <= payload_.size() - pos_);
+}
+
+bool
+CheckpointReader::str(std::string &out)
 {
     std::uint64_t n;
-    if (!u64(&n))
+    if (!count(n))
         return false;
-    if (status_ != CheckpointStatus::Ok || payload_.size() - pos_ < n) {
-        failed_ = true;
-        return false;
-    }
-    out->assign(payload_, pos_, static_cast<std::size_t>(n));
+    out.assign(payload_, pos_, static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
     return true;
 }

@@ -138,38 +138,31 @@ Histogram::bucketCount(int i) const
     return counts_[static_cast<std::size_t>(i)];
 }
 
+template <class Self, class Ar>
+bool
+Histogram::visit(Self &h, Ar &ar)
+{
+    if (!ar.expect(h.lo_) || !ar.expect(h.hi_) ||
+        !ar.expect(h.counts_.size()))
+        return false;
+    for (auto &c : h.counts_)
+        if (!ar.u64(c))
+            return false;
+    return ar.u64(h.underflow_) && ar.u64(h.overflow_) &&
+           ar.u64(h.samples_) && ar.f64(h.sum_) && ar.f64(h.min_) &&
+           ar.f64(h.max_);
+}
+
 void
 Histogram::checkpoint(support::CheckpointWriter &w) const
 {
-    w.f64(lo_);
-    w.f64(hi_);
-    w.u64(counts_.size());
-    for (std::uint64_t c : counts_)
-        w.u64(c);
-    w.u64(underflow_);
-    w.u64(overflow_);
-    w.u64(samples_);
-    w.f64(sum_);
-    w.f64(min_);
-    w.f64(max_);
+    visit(*this, w);
 }
 
 bool
 Histogram::restore(support::CheckpointReader &r)
 {
-    double lo = 0.0;
-    double hi = 0.0;
-    std::uint64_t buckets = 0;
-    if (!r.f64(&lo) || !r.f64(&hi) || !r.u64(&buckets))
-        return false;
-    if (lo != lo_ || hi != hi_ || buckets != counts_.size())
-        return false;
-    for (std::uint64_t &c : counts_)
-        if (!r.u64(&c))
-            return false;
-    return r.u64(&underflow_) && r.u64(&overflow_) &&
-           r.u64(&samples_) && r.f64(&sum_) && r.f64(&min_) &&
-           r.f64(&max_);
+    return visit(*this, r);
 }
 
 void

@@ -127,6 +127,8 @@ class Histogram
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Self, class Ar> static bool visit(Self &h, Ar &ar);
+
     std::string name_;
     std::string desc_;
     double lo_ = 0.0;

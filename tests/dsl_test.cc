@@ -478,6 +478,13 @@ struct BadProgram
     const char *source;
 };
 
+// ctest names each case after its printed parameter; print the label so
+// the name does not carry the pointers, which move with the load address.
+void PrintTo(const BadProgram &p, std::ostream *os)
+{
+    *os << p.label;
+}
+
 class SemaDiagnostics : public ::testing::TestWithParam<BadProgram>
 {
 };

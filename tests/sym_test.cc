@@ -117,9 +117,13 @@ TEST(Diff, QuotientRule)
     EXPECT_NEAR(e.diff(1).eval({3.0, 2.0}), -0.75, 1e-12);
 }
 
-/** All unary functions, derivative vs. central finite differences. */
+/**
+ * All unary functions, derivative vs. central finite differences. The name
+ * is a std::string so the printed parameter, and with it the ctest name,
+ * holds no pointer.
+ */
 class DiffUnaryProperty
-    : public ::testing::TestWithParam<std::pair<const char *, double>>
+    : public ::testing::TestWithParam<std::pair<std::string, double>>
 {
 };
 

@@ -451,9 +451,14 @@ sys.go();
         << toString(result->status);
     EXPECT_TRUE(std::isfinite(result->u0[0]));
 
+    // The exact ladder walk: the non-finite failure skips the
+    // regularization and backoff rungs, spends the one cold restart,
+    // and gives up on the second attempt.
     const SolveStats &stats = solver.lastStats();
-    EXPECT_GE(stats.recoveryAttempts, 1);
-    EXPECT_GE(stats.coldRestarts, 1);
+    EXPECT_EQ(stats.recoveryAttempts, 2);
+    EXPECT_EQ(stats.regularizationBumps, 0);
+    EXPECT_EQ(stats.stepBackoffs, 0);
+    EXPECT_EQ(stats.coldRestarts, 1);
 }
 
 TEST(FaultInjection, ZeroDeadlineReturnsImmediately)

@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks of the solver kernels that dominate
  * the RoboX workload: dense Cholesky, the stagewise Riccati recursion
  * (vs. a dense KKT solve, the DESIGN.md ablation), symbolic
- * differentiation, tape evaluation in double and fixed point, and one
- * full MPC solve.
+ * differentiation, and tape evaluation in double and fixed point.
+ * Whole-solve and fleet costs are measured by robobench's `track` and
+ * `fleet` workloads.
  */
 
 #include <random>
@@ -12,10 +13,12 @@
 #include <benchmark/benchmark.h>
 
 #include "dsl/sema.hh"
+#include "fixed/fixed.hh"
+#include "fixed/fixed_math.hh"
 #include "linalg/cholesky.hh"
-#include "mpc/ipm.hh"
 #include "mpc/riccati.hh"
 #include "robots/robots.hh"
+#include "sym/tape.hh"
 
 using namespace robox;
 
@@ -159,22 +162,6 @@ BM_TapeEvalFixed(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TapeEvalFixed);
-
-void
-BM_FullMpcSolve(benchmark::State &state)
-{
-    const robots::Benchmark &bench = robots::benchmark("MobileRobot");
-    dsl::ModelSpec model = robots::analyzeBenchmark(bench);
-    mpc::MpcOptions opt = bench.options;
-    opt.horizon = static_cast<int>(state.range(0));
-    mpc::IpmSolver solver(model, opt);
-    for (auto _ : state) {
-        solver.reset();
-        auto result = solver.solve(bench.initialState, bench.reference);
-        benchmark::DoNotOptimize(result.objective);
-    }
-}
-BENCHMARK(BM_FullMpcSolve)->Arg(16)->Arg(32)->Arg(64);
 
 } // namespace
 

@@ -70,7 +70,7 @@ executeTapeMapped(const sym::Tape &tape, const std::vector<Fixed> &inputs,
     const std::uint64_t sat0 = Fixed::saturationCount();
     const std::uint64_t div0 = Fixed::divByZeroCount();
     const std::uint64_t faults0 = faults ? faults->faultsInjected() : 0;
-    const bool parity_on = selfcheck && selfcheck->parity;
+    const bool parity_on = selfcheck != nullptr;
 
     // Lower the tape into an M-DFG so Algorithm 1 can place it. Node i
     // corresponds to tape instruction i because every variable slot is

@@ -34,19 +34,16 @@ namespace robox::accel
 
 /**
  * Knobs of the self-checking execution layer (fixed/selfcheck.hh).
- * With every detector enabled and no faults injected, a self-checked
- * run is bitwise identical to an unchecked one: detection is pure
- * overhead, never perturbation.
+ * A self-checked run keeps a parity bit per stored word (register file
+ * and scratchpad) and per interconnect transfer, checked on read /
+ * delivery so an upset is caught at first use; recovery re-executes up
+ * to kAccelMaxReexecutions times before escalating to a program-image
+ * reload. With no faults injected, a self-checked run is bitwise
+ * identical to an unchecked one: detection is pure overhead, never
+ * perturbation.
  */
 struct SelfCheckPolicy
 {
-    /** Maintain a parity bit per stored word (register file and
-     *  scratchpad) and per interconnect transfer, checked on read /
-     *  delivery so an upset is caught at first use. */
-    bool parity = true;
-    /** Recovery rung 1: re-executions of the tape from the same
-     *  inputs before escalating to a program-image reload. */
-    int maxReexecutions = 2;
     /** Recovery rung 3: serve the run from the CPU double-precision
      *  path when re-execution and reload both stay corrupted. */
     bool cpuFallback = true;
@@ -97,10 +94,10 @@ struct FunctionalResult
  *               flip corrupts the delivered value for all later
  *               consumers on that CU — a pessimistic but valid SEU
  *               model.
- * @param selfcheck Optional self-checking policy; when given (and
- *               parity is on), every stored word carries a parity bit
- *               computed from the fault-free value and verified on
- *               read/delivery, detections land in
+ * @param selfcheck Optional self-checking policy; when given, every
+ *               stored word carries a parity bit computed from the
+ *               fault-free value and verified on read/delivery,
+ *               detections land in
  *               FunctionalResult::faultReports, and an undelivered
  *               operand becomes a watchdog deadlock report instead of
  *               a panic.

@@ -66,11 +66,7 @@ executeTapeSelfChecked(const sym::Tape &tape,
 
     // Rung 1: re-execution.
     std::uint64_t index = 0;
-    const std::uint64_t max_reexec =
-        policy.maxReexecutions > 0
-            ? static_cast<std::uint64_t>(policy.maxReexecutions)
-            : 0;
-    while (tainted(out.run) && index < max_reexec) {
+    while (tainted(out.run) && index < kAccelMaxReexecutions) {
         collect(reports, out.run, AccelRecoveryRung::Reexecute);
         ++agg.reexecutions;
         out.rung = AccelRecoveryRung::Reexecute;

@@ -8,9 +8,10 @@
  * an escalating ladder modeled on how a real deployment would react to
  * a transient upset:
  *
- *   rung 1  Re-execute the tape from the same inputs (a transient SEU
- *           does not recur; each attempt re-rolls the deterministic
- *           campaign hash via a fresh fault-cycle offset).
+ *   rung 1  Re-execute the tape from the same inputs, up to
+ *           kAccelMaxReexecutions times (a transient SEU does not
+ *           recur; each attempt re-rolls the deterministic campaign
+ *           hash via a fresh fault-cycle offset).
  *   rung 2  Re-verify / reload the program image (CRC-32,
  *           compiler/binary.hh) and re-execute once more — the answer
  *           to persistent corruption of the instruction store.
@@ -66,7 +67,7 @@ struct SelfCheckedResult
  * Execute a tape with detection on and the recovery ladder armed.
  *
  * @param tape,inputs,fm,config As executeTapeMapped.
- * @param policy Detection knobs and ladder depth.
+ * @param policy Whether the ladder ends on the CPU fallback.
  * @param faults Optional campaign; without one the first attempt is
  *               clean by construction and the ladder never engages, so
  *               the result is bitwise identical to an unchecked run.

@@ -85,6 +85,12 @@ enum class AccelRecoveryRung : std::uint8_t
     CpuFallback, //!< Served by the CPU double-precision path.
 };
 
+/** Recovery rung 1 depth: re-executions per detection before the
+ *  ladder escalates to a reload and then the CPU fallback. Both
+ *  engines climb the same ladder: accel::executeTapeSelfChecked and
+ *  the solver's fixed-point tape path (mpc::MpcProblem). */
+inline constexpr int kAccelMaxReexecutions = 2;
+
 inline const char *
 recoveryRungName(AccelRecoveryRung rung)
 {

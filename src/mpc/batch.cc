@@ -16,6 +16,29 @@
 namespace robox::mpc
 {
 
+namespace
+{
+
+// Overload-ladder tuning (see ARCHITECTURE.md "Overload ladder").
+
+/** Lowest per-robot budget scale the degrade rung may apply before the
+ *  ladder escalates to serving robots from backup. A scale s tightens
+ *  a robot's deadline to s x its EWMA cost and its iteration cap to
+ *  s x maxIterations. */
+constexpr double kOverloadDegradeFloor = 0.25;
+
+/** Floor on the tightened per-robot iteration cap of the degrade
+ *  rung. */
+constexpr int kOverloadMinIterations = 3;
+
+/** Multiplicative decay applied each batch to the EWMA cost of a robot
+ *  that was not freshly solved (served from backup or shed), so
+ *  demoted robots are eventually re-admitted, remeasured, and — if
+ *  still expensive — re-demoted. */
+constexpr double kOverloadRecoveryFactor = 0.5;
+
+} // namespace
+
 BatchController::BatchController(const dsl::ModelSpec &model,
                                  const MpcOptions &options,
                                  std::size_t num_robots,
@@ -177,19 +200,17 @@ BatchController::runAdmission()
                   return a < b;
               });
 
-    const double floor_scale =
-        std::clamp(options_.overloadDegradeFloor, 0.01, 1.0);
-
     // Rung 1 — degrade: protect the largest full-budget prefix that
     // still leaves every remaining robot at least the floor scale,
     // then degrade the rest with one common scale. By construction
-    // the common scale lands in [floor_scale, 1).
+    // the common scale lands in [kOverloadDegradeFloor, 1).
     double spent = 0.0;
     double rest = total;
     std::size_t k = 0;
     for (; k < order_.size(); ++k) {
         const double c = ewma_[order_[k]];
-        if (spent + c + floor_scale * (rest - c) > compute_budget)
+        if (spent + c + kOverloadDegradeFloor * (rest - c) >
+            compute_budget)
             break;
         spent += c;
         rest -= c;
@@ -199,7 +220,7 @@ BatchController::runAdmission()
         return;
     }
     double scale = std::min(1.0, (compute_budget - spent) / rest);
-    if (scale >= floor_scale) {
+    if (scale >= kOverloadDegradeFloor) {
         for (std::size_t j = k; j < order_.size(); ++j) {
             decisions_[order_[j]] = Admit::Degraded;
             scale_[order_[j]] = scale;
@@ -214,11 +235,11 @@ BatchController::runAdmission()
     // charged at overloadBackupCostSeconds per robot.
     for (std::size_t j = k; j < order_.size(); ++j) {
         decisions_[order_[j]] = Admit::Degraded;
-        scale_[order_[j]] = floor_scale;
+        scale_[order_[j]] = kOverloadDegradeFloor;
     }
     const double backup_cost =
         std::max(0.0, options_.overloadBackupCostSeconds);
-    double deg_cost = floor_scale * rest;
+    double deg_cost = kOverloadDegradeFloor * rest;
     std::size_t n_backup = 0;
     std::size_t tail = order_.size();
     while (tail > k &&
@@ -226,7 +247,7 @@ BatchController::runAdmission()
                compute_budget) {
         --tail;
         decisions_[order_[tail]] = Admit::Backup;
-        deg_cost -= floor_scale * ewma_[order_[tail]];
+        deg_cost -= kOverloadDegradeFloor * ewma_[order_[tail]];
         ++n_backup;
     }
 
@@ -250,7 +271,6 @@ BatchController::applyBudgets()
 {
     if (options_.batchDeadlineSeconds < 0.0)
         return;
-    const int min_iters = std::max(1, options_.overloadMinIterations);
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
         // Budgets target whichever version serves the robot, scaled
         // from that version's own base options.
@@ -261,7 +281,7 @@ BatchController::applyBudgets()
         if (decisions_[i] == Admit::Degraded) {
             const int cap = std::min(
                 base.maxIterations,
-                std::max(min_iters,
+                std::max(kOverloadMinIterations,
                          static_cast<int>(base.maxIterations *
                                           scale_[i])));
             solver.setMaxIterations(cap);
@@ -484,10 +504,6 @@ BatchController::finishLinkPeriod()
 void
 BatchController::updateCostModel()
 {
-    const double alpha =
-        std::clamp(options_.overloadEwmaAlpha, 0.0, 1.0);
-    const double recovery =
-        std::clamp(options_.overloadRecoveryFactor, 0.0, 1.0);
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
         batch_cost_[i] = 0.0;
         switch (decisions_[i]) {
@@ -508,9 +524,7 @@ BatchController::updateCostModel()
             if (!(cost >= 0.0) || !std::isfinite(cost))
                 break; // Refuse NaN/negative costs from a buggy hook.
             batch_cost_[i] = cost;
-            ewma_[i] = ewma_[i] <= 0.0
-                           ? cost
-                           : (1.0 - alpha) * ewma_[i] + alpha * cost;
+            ewma_[i] = costEwma(ewma_[i], cost);
             break;
           }
           case Admit::Backup:
@@ -518,7 +532,7 @@ BatchController::updateCostModel()
             // No fresh measurement. Decay the estimate so a demoted
             // robot is eventually re-admitted, remeasured, and — if
             // still expensive — re-demoted.
-            ewma_[i] *= recovery;
+            ewma_[i] *= kOverloadRecoveryFactor;
             batch_cost_[i] =
                 decisions_[i] == Admit::Backup
                     ? std::max(0.0, options_.overloadBackupCostSeconds)

@@ -33,6 +33,32 @@ cappedSigma(double lam, double s)
 /** Dual safeguard applied after each accepted step. */
 constexpr double kLambdaCap = 1e10;
 
+// Interior-point tuning fixed by the parameterized solver template.
+
+/** Initial (cold-start) barrier parameter. */
+constexpr double kMuInit = 1e-1;
+/** Barrier parameter floor (also the complementarity target). */
+constexpr double kMuMin = 1e-9;
+/** Barrier reduction factor per accepted iteration. */
+constexpr double kMuShrink = 0.2;
+/** Fraction-to-boundary factor for slack/dual steps. */
+constexpr double kFractionToBoundary = 0.995;
+/** Slack floor when initializing from the start trajectory. */
+constexpr double kSlackFloor = 1e-3;
+
+// Failsafe ladder depth (see ARCHITECTURE.md "Failure taxonomy and
+// recovery ladder").
+
+/** Levenberg regularization of the first KKT factorization. */
+constexpr double kInitialRegularization = 1e-8;
+/** Regularization bumps per solve before a step backoff. */
+constexpr int kMaxRegularizationBumps = 2;
+/** Factor applied to the KKT regularization on each bump. */
+constexpr double kRegularizationBumpFactor = 1e4;
+/** Cold restarts (warm-start reset + reinitialization) per solve
+ *  before giving up with a failure status. */
+constexpr int kMaxColdRestarts = 1;
+
 /** Position of row id in rows, or -1 when absent. */
 int
 positionOf(const std::vector<int> &rows, int id)
@@ -205,11 +231,9 @@ IpmSolver::evaluateIneq(IneqBlock &blk, const StageEval &eval) const
 }
 
 double
-IpmSolver::initializeSlacks(const std::vector<Vector> &refs,
-                            double mu_init)
+IpmSolver::initializeSlacks(const std::vector<Vector> &refs)
 {
     const int n_stages = problem_.horizon();
-    const double floor = problem_.options().slackFloor;
     const bool shift = warm_;
 
     // The shift runs in place: block k inherits from block k + 1 (the
@@ -242,13 +266,13 @@ IpmSolver::initializeSlacks(const std::vector<Vector> &refs,
             }
         }
         for (std::size_t i = 0; i < rows; ++i) {
-            double s = std::max(floor, -blk.h[i]);
-            double lam = mu_init / s;
+            double s = std::max(kSlackFloor, -blk.h[i]);
+            double lam = kMuInit / s;
             if (prev) {
                 int j = map ? (*map)[i] : static_cast<int>(i);
                 if (j >= 0) {
-                    s = std::max(floor * 1e-2, prev->s[j]);
-                    lam = std::max(floor * 1e-2, prev->lam[j]);
+                    s = std::max(kSlackFloor * 1e-2, prev->s[j]);
+                    lam = std::max(kSlackFloor * 1e-2, prev->lam[j]);
                 }
             }
             blk.s[i] = s;
@@ -257,7 +281,7 @@ IpmSolver::initializeSlacks(const std::vector<Vector> &refs,
     }
 
     // Barrier start: for warm starts, resume near the carried-over
-    // complementarity instead of re-climbing from muInit.
+    // complementarity instead of re-climbing from kMuInit.
     double comp_sum = 0.0;
     std::size_t count = 0;
     for (const IneqBlock &blk : ineq_) {
@@ -267,10 +291,9 @@ IpmSolver::initializeSlacks(const std::vector<Vector> &refs,
         }
     }
     if (!shift || count == 0)
-        return mu_init;
+        return kMuInit;
     double comp_avg = comp_sum / count;
-    return std::clamp(0.5 * comp_avg, problem_.options().muMin * 10.0,
-                      mu_init);
+    return std::clamp(0.5 * comp_avg, kMuMin * 10.0, kMuInit);
 }
 
 double
@@ -403,12 +426,12 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
         return finish(SolveStatus::BadInput);
 
     initializeTrajectory(x0, refs);
-    double mu = initializeSlacks(refs, opt.muInit);
+    double mu = initializeSlacks(refs);
 
     // Failsafe ladder state (see ARCHITECTURE.md): escalating
     // regularization bumps, then a step backoff, then a cold restart,
     // then give up with a structured status.
-    double kkt_reg = opt.initialRegularization;
+    double kkt_reg = kInitialRegularization;
     double alpha_cap = 1.0;
     int reg_bumps = 0;
     int backoffs = 0;
@@ -490,9 +513,8 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
     RecoveryRung last_rung = RecoveryRung::None;
     auto recover = [&](SolveStatus kind, bool reg_helps) -> bool {
         ++stats_.recoveryAttempts;
-        if (reg_helps && reg_bumps < opt.maxRegularizationBumps) {
-            kkt_reg = std::max(kkt_reg, 1e-8) *
-                      opt.regularizationBumpFactor;
+        if (reg_helps && reg_bumps < kMaxRegularizationBumps) {
+            kkt_reg *= kRegularizationBumpFactor;
             ++reg_bumps;
             ++stats_.regularizationBumps;
             last_rung = RecoveryRung::RegBump;
@@ -505,13 +527,13 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
             last_rung = RecoveryRung::StepBackoff;
             return true;
         }
-        if (cold_restarts < opt.maxColdRestarts) {
+        if (cold_restarts < kMaxColdRestarts) {
             ++cold_restarts;
             ++stats_.coldRestarts;
             warm_ = false;
             alpha_cap = 1.0;
             initializeTrajectory(x0, refs);
-            mu = initializeSlacks(refs, opt.muInit);
+            mu = initializeSlacks(refs);
             last_rung = RecoveryRung::ColdRestart;
             return true;
         }
@@ -549,7 +571,7 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
     // y, plus the fraction-to-boundary step length.
     auto compute_steps = [&]() {
         double alpha = 1.0;
-        const double tau = opt.fractionToBoundary;
+        const double tau = kFractionToBoundary;
         for (int k = 0; k <= n_stages; ++k) {
             IneqBlock &blk = ineq_[k];
             std::size_t rows = blk.rows.size();
@@ -775,7 +797,7 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
                 double ratio =
                     comp_now > 0.0 ? comp_aff / comp_now : 0.0;
                 double centering = ratio * ratio * ratio;
-                mu = std::max(opt.muMin, centering * comp_now);
+                mu = std::max(kMuMin, centering * comp_now);
                 // Corrector with second-order term from the affine
                 // steps.
                 barrier_targets(mu, true);
@@ -908,8 +930,7 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
         }
         double comp_avg = comp_count ? comp_sum / comp_count : 0.0;
         if (!opt.predictorCorrector) {
-            mu = std::max(opt.muMin,
-                          std::min(mu, opt.muShrink * comp_avg));
+            mu = std::max(kMuMin, std::min(mu, kMuShrink * comp_avg));
         }
 
         stats_.iterations = iter + 1;

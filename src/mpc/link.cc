@@ -13,6 +13,29 @@
 namespace robox::mpc
 {
 
+namespace
+{
+
+/** Maximum age, in control periods, of the newest delivered state the
+ *  controller still serves a robot on, compensated by a bounded
+ *  dynamics rollout. An older measurement demotes the robot to its
+ *  backup-plan tail (SolveStatus::ServedFromBackup) instead of serving
+ *  it a solve against garbage. */
+constexpr std::uint64_t kLinkStalenessBoundPeriods = 3;
+
+/** Heartbeat bound: consecutive periods without any delivered uplink
+ *  before the robot's link is declared down and the robot is shed
+ *  (SolveStatus::Shed) rather than served from an ever-staler plan.
+ *  Re-delivery brings the link back up immediately. */
+constexpr std::uint64_t kLinkDownPeriods = 6;
+
+/** Periods before the first retransmit of an unacked plan downlink;
+ *  later retransmits double the interval up to the cap. */
+constexpr std::uint64_t kLinkRetransmitBackoffBase = 1;
+constexpr std::uint64_t kLinkRetransmitBackoffCap = 8;
+
+} // namespace
+
 const char *
 toString(FleetLink::Service service)
 {
@@ -27,7 +50,7 @@ toString(FleetLink::Service service)
 
 FleetLink::FleetLink(const dsl::ModelSpec &model,
                      const MpcOptions &options, std::size_t num_robots)
-    : model_(&model), options_(options), plant_(model)
+    : model_(&model), dt_(options.dt), plant_(model)
 {
     robox_assert(num_robots > 0);
     endpoints_.resize(num_robots);
@@ -223,12 +246,9 @@ FleetLink::classify(std::size_t i, const std::vector<Vector> &measured,
 
     const std::uint64_t age =
         e.lastFreshSeq == kNever ? kNever : period_ - e.lastFreshSeq;
-    const auto bound =
-        static_cast<std::uint64_t>(std::max(0, options_.linkStalenessBoundPeriods));
     const bool refs_ok =
         i < refs.size() && refs[i].size() == nref;
-    if (age != kNever && age <= bound && options_.linkExtrapolateState &&
-        refs_ok) {
+    if (age != kNever && age <= kLinkStalenessBoundPeriods && refs_ok) {
         // Bounded dynamics rollout: advance the last fresh state by
         // `age` periods, applying the inputs the last computed plan
         // intended for those periods (the robot is executing that
@@ -256,7 +276,7 @@ FleetLink::classify(std::size_t i, const std::vector<Vector> &measured,
                               e.lastPlan.size() - 1);
                 u.copyFrom(e.lastPlan[stage]);
             }
-            roll_x_ = plant_.step(roll_x_, u, roll_ref_, options_.dt);
+            roll_x_ = plant_.step(roll_x_, u, roll_ref_, dt_);
         }
         service_[i] = Service::Extrapolated;
         extrapolated_[i] = 1;
@@ -296,19 +316,13 @@ FleetLink::beginPeriod(std::uint64_t period,
         drainUplinks(i);
 
     // Heartbeat: any delivered uplink proves the link is alive; its
-    // absence for linkDownPeriods declares the link down (<= 0
-    // disables detection).
+    // absence for kLinkDownPeriods declares the link down.
     for (std::size_t i = 0; i < n; ++i) {
         Endpoint &e = endpoints_[i];
-        bool now_down = false;
-        if (options_.linkDownPeriods > 0) {
-            const std::uint64_t silent =
-                e.lastAnyDelivery == kNever
-                    ? period_ + 1
-                    : period_ - e.lastAnyDelivery;
-            now_down = silent >=
-                       static_cast<std::uint64_t>(options_.linkDownPeriods);
-        }
+        const std::uint64_t silent = e.lastAnyDelivery == kNever
+                                         ? period_ + 1
+                                         : period_ - e.lastAnyDelivery;
+        const bool now_down = silent >= kLinkDownPeriods;
         if (now_down && !down_[i]) {
             went_down_[i] = 1;
             ++totals_.linkDownEvents;
@@ -339,8 +353,7 @@ FleetLink::sendPlan(std::size_t i, const std::vector<Vector> &inputs)
     }
     e.planSentThisPeriod = true;
     // Arm the retransmit schedule for this plan.
-    e.retryInterval = static_cast<std::uint64_t>(
-        std::max(1, options_.linkRetransmitBackoffBase));
+    e.retryInterval = kLinkRetransmitBackoffBase;
     e.nextRetry = period_ + e.retryInterval;
     transmitDownlink(i, period_, e.lastPlan);
 }
@@ -409,9 +422,8 @@ FleetLink::finishPeriod()
             continue;
         ++totals_.retransmits;
         transmitDownlink(i, e.lastPlanSeq, e.lastPlan);
-        const auto cap = static_cast<std::uint64_t>(
-            std::max(1, options_.linkRetransmitBackoffCap));
-        e.retryInterval = std::min(cap, e.retryInterval * 2);
+        e.retryInterval =
+            std::min(kLinkRetransmitBackoffCap, e.retryInterval * 2);
         e.nextRetry = period_ + e.retryInterval;
     }
 

@@ -4,8 +4,11 @@
  *
  * These are the user-provided meta-parameters of Sec. III (prediction
  * horizon length, controller rate, convergence criteria) plus the
- * interior-point tuning knobs the paper's parameterized solver template
- * fixes internally.
+ * switches and budgets of the serving layers. The interior-point
+ * tuning that the paper's parameterized solver template fixes
+ * internally is not an option: each such value is a constexpr next to
+ * the code that reads it (mpc/ipm.cc, problem.cc, batch.cc, link.cc,
+ * upgrade.cc).
  */
 
 #ifndef ROBOX_MPC_OPTIONS_HH
@@ -60,24 +63,6 @@ struct MpcOptions
     /** Convergence tolerance on step size and equality residuals. */
     double tolerance = 1e-6;
 
-    /** Initial barrier parameter. */
-    double muInit = 1e-1;
-
-    /** Barrier parameter floor (also the complementarity target). */
-    double muMin = 1e-9;
-
-    /** Barrier reduction factor per accepted iteration. */
-    double muShrink = 0.2;
-
-    /** Fraction-to-boundary factor for slack/dual steps. */
-    double fractionToBoundary = 0.995;
-
-    /** Initial slack floor when initializing from the start trajectory. */
-    double slackFloor = 1e-3;
-
-    /** Levenberg regularization added when stage Hessians fail Cholesky. */
-    double initialRegularization = 1e-8;
-
     /**
      * Per-solve wall-clock budget in seconds (anytime MPC). When
      * non-negative, solve() checks the deadline before each iteration
@@ -106,10 +91,6 @@ struct MpcOptions
      */
     double batchDeadlineSeconds = -1.0;
 
-    /** EWMA smoothing factor for the per-robot solve-cost model that
-     *  feeds the batch admission pass (0 < alpha <= 1). */
-    double overloadEwmaAlpha = 0.3;
-
     /**
      * Parallelism the admission pass assumes when projecting batch
      * wall cost (projection = summed per-robot cost / parallelism).
@@ -119,29 +100,9 @@ struct MpcOptions
      */
     int overloadParallelism = 0;
 
-    /**
-     * Lowest per-robot budget scale the degrade rung may apply before
-     * the ladder escalates to serving robots from backup. A scale s
-     * tightens a robot's deadline to s x its EWMA cost and its
-     * iteration cap to s x maxIterations.
-     */
-    double overloadDegradeFloor = 0.25;
-
-    /** Floor on the tightened per-robot iteration cap applied by the
-     *  degrade rung. */
-    int overloadMinIterations = 3;
-
     /** Estimated cost of serving one robot from its backup plan,
      *  charged against the batch budget by the admission pass. */
     double overloadBackupCostSeconds = 2e-5;
-
-    /**
-     * Multiplicative decay applied each batch to the EWMA cost of a
-     * robot that was not freshly solved (served from backup or shed),
-     * so demoted robots are eventually re-admitted, remeasured, and —
-     * if still expensive — re-demoted.
-     */
-    double overloadRecoveryFactor = 0.5;
 
     /**
      * Sensor-gate range check: tolerated excursion beyond the model's
@@ -174,60 +135,6 @@ struct MpcOptions
     bool linkEnabled = false;
 
     /**
-     * Maximum age, in control periods, of the newest delivered state
-     * the controller will still serve a robot on (compensated by a
-     * bounded dynamics-rollout extrapolation when
-     * linkExtrapolateState is set). A robot whose measurement is older
-     * is demoted to its backup-plan tail (SolveStatus::ServedFromBackup)
-     * instead of being served a solve against garbage.
-     */
-    int linkStalenessBoundPeriods = 3;
-
-    /**
-     * Heartbeat bound: consecutive periods without *any* delivered
-     * uplink before the robot's link is declared down and the robot is
-     * shed (SolveStatus::Shed) rather than served from an ever-staler
-     * plan. Re-delivery brings the link back up immediately.
-     */
-    int linkDownPeriods = 6;
-
-    /**
-     * Controller-side compensation for a missing uplink: roll the
-     * model dynamics forward from the last fresh state, applying the
-     * stages of the last computed plan, for up to
-     * linkStalenessBoundPeriods periods, and solve against the
-     * extrapolated state. Off, a robot with a missing uplink is served
-     * from its backup tail immediately.
-     */
-    bool linkExtrapolateState = true;
-
-    /** Periods to wait before the first retransmit of an unacked plan
-     *  downlink; subsequent retransmits back off exponentially. */
-    int linkRetransmitBackoffBase = 1;
-
-    /** Cap on the retransmit backoff interval, periods. */
-    int linkRetransmitBackoffCap = 8;
-
-    /**
-     * Escalating in-solve recovery (the failsafe ladder): how many
-     * regularization bumps to attempt when a KKT factorization fails
-     * before escalating to a step backoff and then a cold restart.
-     * See ARCHITECTURE.md "Failure taxonomy and recovery ladder".
-     */
-    int maxRegularizationBumps = 2;
-
-    /** Factor applied to the KKT regularization on each bump. */
-    double regularizationBumpFactor = 1e4;
-
-    /** Cold restarts (warm-start reset + reinitialization) to attempt
-     *  inside one solve() before giving up with a failure status. */
-    int maxColdRestarts = 1;
-
-    /** Relaxation half-width used to pose equality task constraints as
-     *  two-sided inequalities. */
-    double equalityRelaxation = 1e-6;
-
-    /**
      * Capacity of the per-solve iteration trace ring
      * (SolveStats::trace): the last N interior-point iterations of
      * every solve are retained with their residuals, barrier value,
@@ -249,16 +156,6 @@ struct MpcOptions
      * recording.
      */
     int flightRecorderCapacity = 0;
-
-    /**
-     * Checkpoint cadence for crash-safe serving harnesses: write a
-     * checkpoint every N control periods (batches). The knob is
-     * consumed by the harness that owns the files (e.g.
-     * bench/overload_storm --kill-resume), not by the controller
-     * itself — checkpoint()/restore() can be called at any period
-     * boundary. 0 disables periodic checkpointing.
-     */
-    int checkpointEveryPeriods = 0;
 
     /**
      * Evaluate all problem tapes in the accelerator's Q14.17 fixed
@@ -286,43 +183,22 @@ struct MpcOptions
      */
     bool crossCheckFixedPoint = false;
 
-    /** Absolute divergence beyond which a compared output counts as a
-     *  tolerance warning. Sized well above honest Q14.17 rounding
-     *  (LUT interpolation error is ~1e-4 on benchmark tapes). */
-    double crossCheckWarnAbs = 1e-2;
-
-    /**
-     * Fail band: a compared output is a breach when it diverges by
-     * more than crossCheckFailAbs AND more than crossCheckFailRel x
-     * the golden magnitude. The conjunction keeps large-magnitude
-     * Jacobian entries from tripping on rounding while still catching
-     * a single upset bit above the low-order positions.
-     */
-    double crossCheckFailAbs = 0.25;
-
-    /** Relative half of the fail band (see crossCheckFailAbs). */
-    double crossCheckFailRel = 5e-2;
-
     /**
      * Self-checking accelerator execution for the fixed-point tape
      * path: every quantized environment word carries a parity bit
      * computed at host write time and verified when the accelerator
      * reads it, so an upset is caught at first use instead of flowing
      * silently into the iterate. A detection engages the recovery
-     * ladder: re-execute the evaluation (up to accelMaxReexecutions,
-     * re-rolling the deterministic fault hash each attempt), then a
-     * simulated program-image reload with one more attempt, then the
-     * CPU double-precision fallback — which marks the solve
+     * ladder: re-execute the evaluation (kAccelMaxReexecutions times
+     * at most, re-rolling the deterministic fault hash each attempt),
+     * then a simulated program-image reload with one more attempt, then
+     * the CPU double-precision fallback — which marks the solve
      * SolveStatus::AccelFault so the failsafe ladder replaces the
      * command. With no faults injected the checks change nothing:
      * detection is pure overhead, never perturbation. Only meaningful
      * with fixedPointTapes.
      */
     bool accelSelfCheck = false;
-
-    /** Recovery rung 1 depth: tape re-executions per detection before
-     *  escalating to reload and then CPU fallback. */
-    int accelMaxReexecutions = 2;
 
     /**
      * Live-upgrade staging (mpc/upgrade.hh): control periods a
@@ -345,14 +221,6 @@ struct MpcOptions
     std::uint64_t upgradeSeed = 0;
 
     /**
-     * Shadow/canary divergence warn band: absolute per-component
-     * difference between the incumbent's and the candidate's first
-     * commands beyond which a comparison counts as a warning
-     * (mirrors crossCheckWarnAbs for the fixed-point path).
-     */
-    double upgradeWarnAbs = 1e-2;
-
-    /**
      * Divergence fail band: a compared command component is a breach
      * when it diverges by more than upgradeFailAbs AND more than
      * upgradeFailRel x the incumbent magnitude. Any breach rejects a
@@ -362,22 +230,24 @@ struct MpcOptions
 
     /** Relative half of the divergence fail band. */
     double upgradeFailRel = 5e-2;
-
-    /**
-     * Latency guard: the candidate is rolled back when its fleet-level
-     * EWMA solve cost exceeds this multiple of the incumbent's (after
-     * at least two periods of both models being warm).
-     */
-    double upgradeMaxCostRatio = 2.0;
-
-    /**
-     * Fault-rate guard: the candidate is rolled back when its rate of
-     * bad solves (non-usable status, NumericDegraded, or AccelFault)
-     * over the current phase exceeds the incumbent's by more than this
-     * margin, once each version has at least a fleet-sized sample.
-     */
-    double upgradeFaultRateMargin = 0.10;
 };
+
+/**
+ * EWMA smoothing factor (0 < alpha <= 1) of the per-robot solve-cost
+ * model. The batch admission pass and the live-upgrade latency guard
+ * smooth with the same factor, so their cost models stay comparable.
+ */
+inline constexpr double kOverloadEwmaAlpha = 0.3;
+
+/** One step of the solve-cost EWMA. A non-positive estimate means "no
+ *  sample yet" and is replaced by the sample outright. */
+inline double
+costEwma(double estimate, double sample)
+{
+    return estimate <= 0.0 ? sample
+                           : (1.0 - kOverloadEwmaAlpha) * estimate +
+                                 kOverloadEwmaAlpha * sample;
+}
 
 } // namespace robox::mpc
 

@@ -21,6 +21,23 @@ namespace
 
 constexpr std::uint64_t kCanarySalt = 0x9c4a1e8f52d7b306ull;
 
+/** Shadow/canary divergence warn band: absolute per-component
+ *  difference between the incumbent's and the candidate's first
+ *  commands beyond which a comparison counts as a warning (the fail
+ *  band is MpcOptions::upgradeFailAbs / upgradeFailRel). */
+constexpr double kUpgradeWarnAbs = 1e-2;
+
+/** Latency guard: roll the candidate back when its fleet-level EWMA
+ *  solve cost exceeds this multiple of the incumbent's, after at least
+ *  two periods with both models warm. */
+constexpr double kUpgradeMaxCostRatio = 2.0;
+
+/** Fault-rate guard: roll the candidate back when its rate of bad
+ *  solves (non-usable status, NumericDegraded, or AccelFault) over the
+ *  current phase exceeds the incumbent's by more than this margin, once
+ *  each version has at least a fleet-sized sample. */
+constexpr double kUpgradeFaultRateMargin = 0.10;
+
 /** The model shape a live upgrade must preserve (nx, nu, nref, N). */
 std::array<std::int32_t, 4>
 problemShape(const MpcProblem &p)
@@ -320,7 +337,7 @@ UpgradeManager::recordPair(std::size_t i,
         if (!(diff >= 0.0))
             continue; // NaN-poisoned comparison; statuses catch it.
         s.maxAbs = std::max(s.maxAbs, diff);
-        if (diff > options_.upgradeWarnAbs)
+        if (diff > kUpgradeWarnAbs)
             ++s.warns;
         // Cross-check-style conjunction: absolute AND relative, so
         // large-magnitude commands do not trip on honest rounding.
@@ -340,8 +357,6 @@ UpgradeManager::finishPeriod(const std::vector<double> &batch_cost,
     }
     ++phase_periods_;
 
-    const double alpha =
-        std::clamp(options_.overloadEwmaAlpha, 0.0, 1.0);
     const double scale = candidate_.modeledCostScale > 0.0
                              ? candidate_.modeledCostScale
                              : 1.0;
@@ -383,16 +398,10 @@ UpgradeManager::finishPeriod(const std::vector<double> &batch_cost,
         }
         if (inc_cost >= 0.0 && std::isfinite(inc_cost))
             report_.incumbentCostEwma =
-                report_.incumbentCostEwma <= 0.0
-                    ? inc_cost
-                    : (1.0 - alpha) * report_.incumbentCostEwma +
-                          alpha * inc_cost;
+                costEwma(report_.incumbentCostEwma, inc_cost);
         if (cand_cost >= 0.0 && std::isfinite(cand_cost))
             report_.candidateCostEwma =
-                report_.candidateCostEwma <= 0.0
-                    ? cand_cost
-                    : (1.0 - alpha) * report_.candidateCostEwma +
-                          alpha * cand_cost;
+                costEwma(report_.candidateCostEwma, cand_cost);
 
         const bool inc_bad =
             serving_is_candidate ? s.shadowBad : s.servingBad;
@@ -422,8 +431,7 @@ UpgradeManager::finishPeriod(const std::vector<double> &batch_cost,
         const double inc_rate =
             static_cast<double>(incumbent_bad_) /
             static_cast<double>(incumbent_solves_);
-        if (cand_rate >
-            inc_rate + std::max(0.0, options_.upgradeFaultRateMargin)) {
+        if (cand_rate > inc_rate + kUpgradeFaultRateMargin) {
             failCandidate(&UpgradeReport::rollbackFaultRate);
             return;
         }
@@ -431,9 +439,8 @@ UpgradeManager::finishPeriod(const std::vector<double> &batch_cost,
     // Latency budget: the candidate costs more than the allowed
     // multiple of the incumbent, both models warm.
     if (phase_periods_ >= 2 && report_.incumbentCostEwma > 0.0 &&
-        options_.upgradeMaxCostRatio > 0.0 &&
         report_.candidateCostEwma >
-            options_.upgradeMaxCostRatio * report_.incumbentCostEwma) {
+            kUpgradeMaxCostRatio * report_.incumbentCostEwma) {
         failCandidate(&UpgradeReport::rollbackLatency);
         return;
     }

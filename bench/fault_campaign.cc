@@ -24,8 +24,8 @@
  * byte-identical JSON. `--smoke` shrinks the sweep to a ~1 s check
  * suitable for CI, diffed byte-for-byte against
  * tests/golden/fault_campaign_smoke.json. The per-point metrics render
- * through stats::StatGroup::toJson(), the same schema the overload
- * storm and the batch controller's overload report use.
+ * through bench::pointJson(), the stats::StatGroup::toJson() schema the
+ * overload storm and the batch controller's overload report use.
  */
 
 #include <algorithm>
@@ -39,11 +39,11 @@
 #include "accel/faults.hh"
 #include "dsl/sema.hh"
 #include "fixed/selfcheck.hh"
+#include "fleet_scenario.hh"
 #include "mpc/failsafe.hh"
 #include "mpc/ipm.hh"
 #include "mpc/simulate.hh"
 #include "mpc/status.hh"
-#include "support/stats.hh"
 
 namespace
 {
@@ -51,44 +51,21 @@ namespace
 using robox::Vector;
 using robox::accel::FaultCampaign;
 using robox::accel::FaultInjector;
+using robox::bench::count;
+using robox::bench::kDoubleIntegrator;
+using robox::bench::pointJson;
 using robox::mpc::BackupPlan;
 using robox::mpc::IpmSolver;
 using robox::mpc::Plant;
 using robox::mpc::SolveStats;
 using robox::mpc::SolveStatus;
 
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
-
-/** Outcome of one campaign rollout. */
-struct CampaignResult
+/** What every campaign rollout reports. */
+struct Rollout
 {
     double upsetRate = 0.0;
     std::uint64_t faultsInjected = 0;
-    std::uint64_t saturations = 0;
     int degradedSteps = 0;           //!< Backup commands issued.
-    int numericDegradedSolves = 0;   //!< Solves condemned by cross-check.
-    int faultSteps = 0;              //!< Steps in which faults landed.
-    int detectedFaultSteps = 0;      //!< Fault steps later condemned.
-    double meanDetectionLatency = 0.0; //!< Control periods to detection.
     double maxTrackingError = 0.0;   //!< Worst |pos - target| after settle.
     double finalTrackingError = 0.0;
 };
@@ -97,11 +74,13 @@ struct CampaignResult
  * Closed-loop rollout under one campaign, mirroring the failsafe
  * discipline of mpc::simulateClosedLoop: usable solves refresh the
  * backup plan, condemned solves are replaced by its shifted tail.
+ * `observe(step, result, stats)` sees every solve before it is acted on.
  */
-CampaignResult
-runCampaign(const robox::dsl::ModelSpec &model,
-            const robox::mpc::MpcOptions &opt, double upset_rate,
-            std::uint64_t seed, int steps)
+template <class Observe>
+Rollout
+rollout(const robox::dsl::ModelSpec &model,
+        const robox::mpc::MpcOptions &opt, double upset_rate,
+        std::uint64_t seed, int steps, Observe observe)
 {
     FaultCampaign campaign;
     campaign.seed = seed;
@@ -115,29 +94,13 @@ runCampaign(const robox::dsl::ModelSpec &model,
     const Vector ref{1.0};
     Vector x{0.0, 0.0};
 
-    CampaignResult result;
+    Rollout result;
     result.upsetRate = upset_rate;
-    // Fault steps awaiting their first NumericDegraded detection.
-    std::vector<int> pending;
-    long detection_periods = 0;
     const int settle = steps / 3; // Tracking error ignores the approach.
 
     for (int step = 0; step < steps; ++step) {
         const IpmSolver::Result &r = solver.solve(x, ref);
-        const SolveStats &stats = solver.lastStats();
-        result.saturations += stats.numeric.saturations;
-        if (stats.numeric.faultsInjected > 0) {
-            ++result.faultSteps;
-            pending.push_back(step);
-        }
-        if (r.status == SolveStatus::NumericDegraded) {
-            ++result.numericDegradedSolves;
-            for (int fault_step : pending) {
-                detection_periods += step - fault_step;
-                ++result.detectedFaultSteps;
-            }
-            pending.clear();
-        }
+        observe(step, r, solver.lastStats());
 
         Vector u = r.u0;
         if (robox::mpc::statusUsable(r.status)) {
@@ -153,6 +116,47 @@ runCampaign(const robox::dsl::ModelSpec &model,
     }
     result.faultsInjected = injector.faultsInjected();
     result.finalTrackingError = std::abs(x[0] - ref[0]);
+    return result;
+}
+
+/** Outcome of one cross-checked campaign rollout. */
+struct CampaignResult : Rollout
+{
+    std::uint64_t saturations = 0;
+    int numericDegradedSolves = 0;   //!< Solves condemned by cross-check.
+    int faultSteps = 0;              //!< Steps in which faults landed.
+    int detectedFaultSteps = 0;      //!< Fault steps later condemned.
+    double meanDetectionLatency = 0.0; //!< Control periods to detection.
+};
+
+/** The rollout with the golden-model cross-check as the detector. */
+CampaignResult
+runCampaign(const robox::dsl::ModelSpec &model,
+            const robox::mpc::MpcOptions &opt, double upset_rate,
+            std::uint64_t seed, int steps)
+{
+    CampaignResult result;
+    // Fault steps awaiting their first NumericDegraded detection.
+    std::vector<int> pending;
+    long detection_periods = 0;
+    auto observe = [&](int step, const IpmSolver::Result &r,
+                       const SolveStats &stats) {
+        result.saturations += stats.numeric.saturations;
+        if (stats.numeric.faultsInjected > 0) {
+            ++result.faultSteps;
+            pending.push_back(step);
+        }
+        if (r.status == SolveStatus::NumericDegraded) {
+            ++result.numericDegradedSolves;
+            for (int fault_step : pending) {
+                detection_periods += step - fault_step;
+                ++result.detectedFaultSteps;
+            }
+            pending.clear();
+        }
+    };
+    static_cast<Rollout &>(result) =
+        rollout(model, opt, upset_rate, seed, steps, observe);
     result.meanDetectionLatency =
         result.detectedFaultSteps > 0
             ? static_cast<double>(detection_periods) /
@@ -162,16 +166,11 @@ runCampaign(const robox::dsl::ModelSpec &model,
 }
 
 /** Outcome of one rollout with the self-checking ladder armed. */
-struct SelfCheckResult
+struct SelfCheckResult : Rollout
 {
-    double upsetRate = 0.0;
-    std::uint64_t faultsInjected = 0;
     robox::SelfCheckStats selfCheck; //!< Summed across all solves.
     int accelFaultSolves = 0;  //!< Solves condemned on the CPU rung.
-    int degradedSteps = 0;     //!< Backup commands issued.
     double detectionCoverage = 1.0; //!< Detected / injected upsets.
-    double maxTrackingError = 0.0;
-    double finalTrackingError = 0.0;
 };
 
 /**
@@ -186,44 +185,17 @@ runSelfCheckCampaign(const robox::dsl::ModelSpec &model,
                      const robox::mpc::MpcOptions &base,
                      double upset_rate, std::uint64_t seed, int steps)
 {
-    FaultCampaign campaign;
-    campaign.seed = seed;
-    campaign.upsetRate = upset_rate;
-    FaultInjector injector(campaign);
-
     robox::mpc::MpcOptions opt = base;
     opt.accelSelfCheck = true;
-    IpmSolver solver(model, opt);
-    solver.setTapeFaultHook(injector.tapeHook());
-    BackupPlan backup(model);
-    Plant plant(model);
-    const Vector ref{1.0};
-    Vector x{0.0, 0.0};
-
     SelfCheckResult result;
-    result.upsetRate = upset_rate;
-    const int settle = steps / 3;
-
-    for (int step = 0; step < steps; ++step) {
-        const IpmSolver::Result &r = solver.solve(x, ref);
-        result.selfCheck.merge(solver.lastStats().numeric.selfCheck);
+    auto observe = [&](int, const IpmSolver::Result &r,
+                       const SolveStats &stats) {
+        result.selfCheck.merge(stats.numeric.selfCheck);
         if (r.status == SolveStatus::AccelFault)
             ++result.accelFaultSolves;
-
-        Vector u = r.u0;
-        if (robox::mpc::statusUsable(r.status)) {
-            backup.accept(solver.inputTrajectory());
-        } else {
-            ++result.degradedSteps;
-            u = backup.command();
-        }
-        x = plant.step(x, u, ref, opt.dt);
-        if (step >= settle)
-            result.maxTrackingError = std::max(result.maxTrackingError,
-                                               std::abs(x[0] - ref[0]));
-    }
-    result.faultsInjected = injector.faultsInjected();
-    result.finalTrackingError = std::abs(x[0] - ref[0]);
+    };
+    static_cast<Rollout &>(result) =
+        rollout(model, opt, upset_rate, seed, steps, observe);
     if (result.faultsInjected > 0)
         result.detectionCoverage =
             static_cast<double>(result.selfCheck.detections()) /
@@ -231,106 +203,56 @@ runSelfCheckCampaign(const robox::dsl::ModelSpec &model,
     return result;
 }
 
-/** One sweep point in the uniform StatGroup::toJson() schema. */
 std::string
 campaignPointJson(const CampaignResult &r)
 {
-    using robox::stats::Scalar;
-    using robox::stats::StatGroup;
-
-    auto scalar = [](const char *name, const char *desc, double v) {
-        Scalar s(name, desc);
-        s.set(v);
-        return s;
-    };
-    std::vector<Scalar> scalars;
-    scalars.reserve(10);
-    scalars.push_back(scalar("upsetRate", "per-access upset probability",
-                             r.upsetRate));
-    scalars.push_back(scalar("faultsInjected", "bit flips landed",
-                             static_cast<double>(r.faultsInjected)));
-    scalars.push_back(scalar("saturations", "fixed-point saturations",
-                             static_cast<double>(r.saturations)));
-    scalars.push_back(scalar("faultSteps", "steps in which faults landed",
-                             r.faultSteps));
-    scalars.push_back(scalar("numericDegradedSolves",
-                             "solves condemned by the cross-check",
-                             r.numericDegradedSolves));
-    scalars.push_back(scalar("degradedSteps", "backup commands issued",
-                             r.degradedSteps));
-    scalars.push_back(scalar("detectedFaultSteps",
-                             "fault steps later condemned",
-                             r.detectedFaultSteps));
-    scalars.push_back(scalar("meanDetectionLatency",
-                             "control periods to detection",
-                             r.meanDetectionLatency));
-    scalars.push_back(scalar("maxTrackingError",
-                             "worst post-settle tracking error",
-                             r.maxTrackingError));
-    scalars.push_back(scalar("finalTrackingError",
-                             "tracking error at the last step",
-                             r.finalTrackingError));
-
-    StatGroup group("campaign");
-    for (Scalar &s : scalars)
-        group.add(&s);
-    return group.toJson();
+    return pointJson(
+        "campaign",
+        {{"upsetRate", "per-access upset probability", r.upsetRate},
+         {"faultsInjected", "bit flips landed", count(r.faultsInjected)},
+         {"saturations", "fixed-point saturations", count(r.saturations)},
+         {"faultSteps", "steps in which faults landed",
+          static_cast<double>(r.faultSteps)},
+         {"numericDegradedSolves", "solves condemned by the cross-check",
+          static_cast<double>(r.numericDegradedSolves)},
+         {"degradedSteps", "backup commands issued",
+          static_cast<double>(r.degradedSteps)},
+         {"detectedFaultSteps", "fault steps later condemned",
+          static_cast<double>(r.detectedFaultSteps)},
+         {"meanDetectionLatency", "control periods to detection",
+          r.meanDetectionLatency},
+         {"maxTrackingError", "worst post-settle tracking error",
+          r.maxTrackingError},
+         {"finalTrackingError", "tracking error at the last step",
+          r.finalTrackingError}});
 }
 
-/** One self-check sweep point in the same schema. */
 std::string
 selfCheckPointJson(const SelfCheckResult &r)
 {
-    using robox::stats::Scalar;
-    using robox::stats::StatGroup;
-
-    auto scalar = [](const char *name, const char *desc, double v) {
-        Scalar s(name, desc);
-        s.set(v);
-        return s;
-    };
-    auto count = [&](const char *name, const char *desc,
-                     std::uint64_t v) {
-        return scalar(name, desc, static_cast<double>(v));
-    };
     const robox::SelfCheckStats &sc = r.selfCheck;
-    std::vector<Scalar> scalars;
-    scalars.reserve(13);
-    scalars.push_back(scalar("upsetRate", "per-access upset probability",
-                             r.upsetRate));
-    scalars.push_back(count("faultsInjected", "bit flips landed",
-                            r.faultsInjected));
-    scalars.push_back(count("parityChecks", "words parity-verified",
-                            sc.parityChecks));
-    scalars.push_back(count("parityErrors", "upsets caught by parity",
-                            sc.parityErrors));
-    scalars.push_back(scalar("detectionCoverage",
-                             "detected fraction of injected upsets",
-                             r.detectionCoverage));
-    scalars.push_back(count("reexecutions",
-                            "recovery rung-1 re-executions",
-                            sc.reexecutions));
-    scalars.push_back(count("reloads", "recovery rung-2 image reloads",
-                            sc.reloads));
-    scalars.push_back(count("cpuFallbacks",
-                            "recovery rung-3 CPU fallbacks",
-                            sc.cpuFallbacks));
-    scalars.push_back(scalar("accelFaultSolves",
-                             "solves condemned as AccelFault",
-                             r.accelFaultSolves));
-    scalars.push_back(scalar("degradedSteps", "backup commands issued",
-                             r.degradedSteps));
-    scalars.push_back(scalar("maxTrackingError",
-                             "worst post-settle tracking error",
-                             r.maxTrackingError));
-    scalars.push_back(scalar("finalTrackingError",
-                             "tracking error at the last step",
-                             r.finalTrackingError));
-
-    StatGroup group("selfcheck");
-    for (Scalar &s : scalars)
-        group.add(&s);
-    return group.toJson();
+    return pointJson(
+        "selfcheck",
+        {{"upsetRate", "per-access upset probability", r.upsetRate},
+         {"faultsInjected", "bit flips landed", count(r.faultsInjected)},
+         {"parityChecks", "words parity-verified", count(sc.parityChecks)},
+         {"parityErrors", "upsets caught by parity",
+          count(sc.parityErrors)},
+         {"detectionCoverage", "detected fraction of injected upsets",
+          r.detectionCoverage},
+         {"reexecutions", "recovery rung-1 re-executions",
+          count(sc.reexecutions)},
+         {"reloads", "recovery rung-2 image reloads", count(sc.reloads)},
+         {"cpuFallbacks", "recovery rung-3 CPU fallbacks",
+          count(sc.cpuFallbacks)},
+         {"accelFaultSolves", "solves condemned as AccelFault",
+          static_cast<double>(r.accelFaultSolves)},
+         {"degradedSteps", "backup commands issued",
+          static_cast<double>(r.degradedSteps)},
+         {"maxTrackingError", "worst post-settle tracking error",
+          r.maxTrackingError},
+         {"finalTrackingError", "tracking error at the last step",
+          r.finalTrackingError}});
 }
 
 void
@@ -372,9 +294,7 @@ main(int argc, char **argv)
 
     robox::dsl::ModelSpec model =
         robox::dsl::analyzeSource(kDoubleIntegrator);
-    robox::mpc::MpcOptions opt;
-    opt.horizon = 12;
-    opt.dt = 0.1;
+    robox::mpc::MpcOptions opt = robox::bench::integratorOptions();
     opt.fixedPointTapes = true;
     opt.crossCheckFixedPoint = true;
 

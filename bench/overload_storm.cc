@@ -39,8 +39,12 @@
  * decisions are pure functions of virtual time and the upgrade seed,
  * so the upgrade sweep is byte-deterministic like the others.
  *
- * `--smoke` shrinks the sweep to a ~1 s check suitable for CI, which
- * diffs two runs byte-for-byte as a determinism gate. Flags:
+ * Each sweep point is a scenario description over the shared closed-loop
+ * driver in bench/fleet_scenario.hh. `--smoke` shrinks the sweep to a
+ * ~1 s check; the OverloadStorm.* ctest cases diff its outputs against
+ * two-run, cross-thread-count and tests/golden/ byte goldens. Flags
+ * take whole positive integers; anything else exits 2 with the usage
+ * line. Flags:
  *   --smoke           shrink the sweep for CI
  *   --threads N       worker threads (default 4; output is identical
  *                     at any value — that is the determinism gate)
@@ -54,15 +58,15 @@
  *   --upgrade-timeline PATH  write the committing upgrade scenario's
  *                     timeline (upgrade-category markers included)
  *   --kill-resume     kill-and-resume chaos mode: checkpoint each
- *                     storm's controller + harness state every
+ *                     storm's controller + world state every
  *                     --checkpoint-every batches (atomic rename,
  *                     support/checkpoint.hh), then at splitmix64-
  *                     scheduled batches destroy the BatchController,
  *                     dump its flight recorder as a postmortem, and
  *                     resume a fresh instance from the latest
  *                     checkpoint. The report must byte-match the
- *                     uninterrupted run — that is the crash-safety
- *                     gate CI diffs against the golden.
+ *                     uninterrupted run, in every sweep — that is
+ *                     the crash-safety gate diffed against the golden.
  *   --checkpoint-every N  batches between checkpoints (default 7)
  *   --checkpoint-dir PATH where checkpoint + postmortem files land
  *                     (default ".")
@@ -72,493 +76,53 @@
  * report use.
  */
 
-#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "compiler/binary.hh"
 #include "dsl/sema.hh"
-#include "mpc/batch.hh"
-#include "mpc/chaos.hh"
-#include "mpc/simulate.hh"
+#include "fleet_scenario.hh"
 #include "mpc/status.hh"
-#include "mpc/timeline.hh"
-#include "mpc/upgrade.hh"
 #include "support/checkpoint.hh"
-#include "support/hash.hh"
-#include "support/stats.hh"
 #include "support/trace.hh"
 
 namespace
 {
 
 using robox::Vector;
+using robox::bench::count;
+using robox::bench::CrashPlan;
+using robox::bench::kDoubleIntegrator;
+using robox::bench::kDoubleIntegratorRetuned;
+using robox::bench::pointJson;
+using robox::bench::Scenario;
+using robox::bench::ScenarioResult;
 using robox::mpc::BatchController;
-using robox::mpc::ChaosEngine;
-using robox::mpc::ChaosSpec;
-using robox::mpc::FleetTimeline;
+using robox::mpc::LinkReport;
 using robox::mpc::MpcOptions;
-using robox::mpc::Plant;
-using robox::mpc::SolveStatus;
+using robox::mpc::OverloadReport;
 using robox::mpc::UpgradeCandidate;
-using robox::mpc::UpgradePhase;
 using robox::mpc::UpgradeReport;
-using robox::mpc::UpgradeScheduleStatus;
-
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
-
-/** Same plant interface, very different tuning: the upgrade sweep's
- *  divergence scenario stages this as a candidate whose commands
- *  disagree with the incumbent's. */
-const char *kDoubleIntegratorRetuned = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 40.0, 0.001);
-)";
 
 constexpr std::size_t kRobots = 12;
 constexpr std::size_t kDefaultThreads = 4;
 constexpr int kParallelism = 4;        //!< Pinned admission math.
 constexpr double kBudgetSeconds = 1e-3; //!< Batch deadline.
 
-/** Kill-and-resume chaos configuration (--kill-resume). */
-struct CrashPlan
+/** Virtual per-robot solve cost at which the fleet's demand is `load`
+ *  times the batch compute budget. */
+double
+solveCostAt(double load)
 {
-    int checkpointEvery = 7; //!< Batches between checkpoints.
-    int crashes = 2;         //!< Simulated kills per storm.
-    std::string dir = ".";   //!< Checkpoint / postmortem directory.
-};
-
-/** Deterministic, sorted, deduplicated batch indices at which a storm
- *  is killed. Every index lands after the first checkpoint exists, so
- *  each kill resumes from a real file (the corrupt/cold-start path is
- *  exercised separately). */
-std::vector<int>
-crashSchedule(std::uint64_t seed, std::uint64_t storm_nonce, int batches,
-              const CrashPlan &plan)
-{
-    std::vector<int> out;
-    const int lo = plan.checkpointEvery + 1;
-    const int span = batches - lo;
-    if (span <= 0)
-        return out;
-    for (int k = 0; k < plan.crashes; ++k) {
-        std::uint64_t h = robox::support::mix64(
-            seed ^ (storm_nonce << 20) ^ (0xC4A5ull << 40) ^
-            static_cast<std::uint64_t>(k));
-        out.push_back(lo + static_cast<int>(h % static_cast<std::uint64_t>(
-                                                    span)));
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-}
-
-/** Outcome of one storm at one offered-load point. */
-struct StormResult
-{
-    double offeredLoad = 0.0;
-    std::uint64_t overloadedBatches = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t servedFromBackup = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t badInput = 0;
-    std::uint64_t poisoned = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t protectedShed = 0; //!< Shed events on priority robots.
-    double projectedSeconds = 0.0;   //!< Last batch, virtual time.
-    double admittedSeconds = 0.0;    //!< Last batch, virtual time.
-    double maxTrackingError = 0.0;
-    double meanTrackingError = 0.0;
-};
-
-/** One closed-loop storm: `batches` control periods of `kRobots`
- *  robots under chaos, at a virtual solve cost sized so the fleet's
- *  demand is `load` times the batch compute budget. With a CrashPlan,
- *  the controller is periodically checkpointed and deterministically
- *  killed + resumed mid-sweep; the returned result must be identical
- *  either way. */
-StormResult
-runStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
-         double load, std::uint64_t seed, int batches,
-         std::size_t threads, FleetTimeline *timeline_out,
-         const CrashPlan *crash = nullptr, std::size_t storm_index = 0)
-{
-    ChaosSpec spec;
-    spec.seed = seed;
-    spec.stallRate = 0.1;
-    spec.stallCostSeconds = 0.5 * kBudgetSeconds;
-    spec.stallSpinSeconds = 5e-5; // Real jitter; never in the output.
-    spec.burstRate = 0.15;
-    spec.burstFactor = 2.0;
-    spec.poisonRate = 0.01;
-    spec.virtualSolveCostSeconds =
-        load * kBudgetSeconds * kParallelism / kRobots;
-    ChaosEngine chaos(spec);
-
-    // The runtime wiring (hooks, priorities, timeline) is not part of
-    // a checkpoint — a resumed "process" re-applies it exactly as a
-    // restarted serving binary would.
-    auto make_batch = [&] {
-        auto p = std::make_unique<BatchController>(model, opt, kRobots,
-                                                   threads);
-        p->setCostHook(chaos.costHook());
-        p->setStallHook(chaos.stallHook());
-        p->enableTimeline(timeline_out != nullptr);
-        // Robots 0 and 1 are high priority: shed them last.
-        p->setPriority(0, 1.0);
-        p->setPriority(1, 1.0);
-        return p;
-    };
-    std::unique_ptr<BatchController> batch = make_batch();
-
-    Plant plant(model);
-    std::vector<Vector> truth, meas, prev_meas, refs;
-    std::vector<Vector> last_u(kRobots, Vector{0.0});
-    for (std::size_t i = 0; i < kRobots; ++i) {
-        double s = static_cast<double>(i);
-        truth.push_back(Vector{0.1 * s, -0.03 * s});
-        meas.push_back(Vector{0.0, 0.0});
-        prev_meas.push_back(Vector{0.0, 0.0});
-        refs.push_back(Vector{1.0 + 0.2 * s});
-    }
-
-    StormResult result;
-    result.offeredLoad = load;
-    const int settle = batches / 3;
-    double err_sum = 0.0;
-    std::uint64_t err_n = 0;
-
-    const std::string tag = "storm_" + std::to_string(storm_index);
-    const std::string ckpt_path =
-        crash ? crash->dir + "/" + tag + ".rbcp" : std::string();
-    const std::vector<int> kills =
-        crash ? crashSchedule(seed, storm_index, batches, *crash)
-              : std::vector<int>();
-    std::size_t next_kill = 0;
-
-    // Reset the harness loop to batch 0 (cold start after a restore
-    // failure: no checkpoint survived, so the storm replays whole).
-    auto cold_start = [&] {
-        for (std::size_t i = 0; i < kRobots; ++i) {
-            double s = static_cast<double>(i);
-            truth[i] = Vector{0.1 * s, -0.03 * s};
-            prev_meas[i] = Vector{0.0, 0.0};
-            last_u[i] = Vector{0.0};
-        }
-        err_sum = 0.0;
-        err_n = 0;
-        result = StormResult();
-        result.offeredLoad = load;
-        return 0;
-    };
-
-    // The harness world state rides ahead of the controller in each
-    // checkpoint; one field list writes and reads it.
-    std::uint64_t saved_b = 0;
-    auto world = [&](auto &ar) {
-        return ar.u64(saved_b) && ar.vectorList(truth) &&
-               ar.vectorList(prev_meas) && ar.vectorList(last_u) &&
-               ar.f64(err_sum) && ar.u64(err_n) &&
-               ar.f64(result.maxTrackingError) &&
-               ar.u64(result.protectedShed);
-    };
-
-    int b = 0;
-    while (b < batches) {
-        if (crash && next_kill < kills.size() && b == kills[next_kill]) {
-            ++next_kill;
-            // Black box first: the postmortem is the flight recorder
-            // recovered from the instance being killed.
-            robox::support::writeFileAtomic(
-                crash->dir + "/postmortem_" + tag + "_" +
-                    std::to_string(next_kill) + ".json",
-                batch->flightRecorder().toJson());
-            batch = make_batch(); // The "new process".
-            std::string blob;
-            bool restored = false;
-            if (robox::support::readFile(ckpt_path, &blob)) {
-                robox::support::CheckpointReader r(blob);
-                restored = world(r) && batch->restore(r) && r.atEnd();
-            }
-            if (!restored) {
-                std::fprintf(stderr,
-                             "overload_storm: %s checkpoint unusable, "
-                             "cold-starting\n",
-                             tag.c_str());
-                batch = make_batch(); // restore() left it cold anyway.
-                b = cold_start();
-            } else {
-                b = static_cast<int>(saved_b);
-            }
-            continue;
-        }
-
-        chaos.setBatch(static_cast<std::uint64_t>(b));
-        for (std::size_t i = 0; i < kRobots; ++i) {
-            meas[i].copyFrom(truth[i]);
-            chaos.poisonState(static_cast<std::uint64_t>(b), i,
-                              prev_meas[i], meas[i]);
-            prev_meas[i].copyFrom(meas[i]);
-        }
-        const auto &results = batch->solveAll(meas, refs);
-        for (std::size_t i = 0; i < kRobots; ++i) {
-            if (results[i].status == SolveStatus::Shed) {
-                if (i < 2)
-                    ++result.protectedShed;
-            } else {
-                last_u[i].copyFrom(results[i].u0);
-            }
-            // Shed robots hold their previous actuation (the ladder
-            // gave them no fresh command, not even a backup).
-            truth[i] = plant.step(truth[i], last_u[i], refs[i], opt.dt);
-            if (b >= settle) {
-                double e = std::abs(truth[i][0] - refs[i][0]);
-                result.maxTrackingError =
-                    std::max(result.maxTrackingError, e);
-                err_sum += e;
-                ++err_n;
-            }
-        }
-        ++b;
-        if (crash && b % crash->checkpointEvery == 0) {
-            robox::support::CheckpointWriter w;
-            saved_b = static_cast<std::uint64_t>(b);
-            world(w);
-            batch->checkpoint(w);
-            robox::support::writeFileAtomic(ckpt_path, w.finish());
-        }
-    }
-
-    const robox::mpc::BatchReport &report = batch->report();
-    result.overloadedBatches = report.overload.overloadedBatches;
-    result.degraded = report.overload.degraded;
-    result.servedFromBackup = report.overload.servedFromBackup;
-    result.shed = report.overload.shed;
-    result.badInput = report.overload.badInput;
-    result.poisoned = report.overload.poisoned;
-    result.failures = report.failures;
-    result.projectedSeconds = report.overload.projectedSeconds;
-    result.admittedSeconds = report.overload.admittedSeconds;
-    result.meanTrackingError =
-        err_n > 0 ? err_sum / static_cast<double>(err_n) : 0.0;
-    if (timeline_out)
-        *timeline_out = batch->timeline();
-    return result;
-}
-
-/** Outcome of one link storm at one loss-rate point. */
-struct LinkStormResult
-{
-    double lossRate = 0.0;
-    std::uint64_t uplinkDropped = 0;
-    std::uint64_t downlinkDropped = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t planMisses = 0;
-    std::uint64_t statesExtrapolated = 0;
-    std::uint64_t staleDemotions = 0;
-    std::uint64_t linkDownEvents = 0;
-    std::uint64_t servedFromBackup = 0;
-    std::uint64_t shed = 0;
-    double maxTrackingError = 0.0;
-    double meanTrackingError = 0.0;
-};
-
-/** One closed-loop storm over the lossy link: compute is underloaded
- *  (offered load 0.5, virtual time) so every demotion below comes from
- *  the link layer — dropped uplinks forcing extrapolation and staleness
- *  demotions, dropped plans forcing the robots onto buffered tails. */
-LinkStormResult
-runLinkStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
-             double loss, std::uint64_t seed, int batches,
-             std::size_t threads, FleetTimeline *timeline_out,
-             const CrashPlan *crash = nullptr, std::size_t storm_index = 0)
-{
-    ChaosSpec spec;
-    spec.seed = seed;
-    spec.uplinkDropRate = loss;
-    spec.downlinkDropRate = loss;
-    spec.uplinkDelayRate = 0.5 * loss;
-    spec.downlinkDelayRate = 0.5 * loss;
-    spec.linkDelayPeriodsMax = 2;
-    spec.uplinkDupRate = 0.25 * loss;
-    spec.downlinkDupRate = 0.25 * loss;
-    spec.linkBlackoutRate = 0.05 * loss;
-    spec.linkBlackoutBatches = 4;
-    spec.virtualSolveCostSeconds =
-        0.5 * kBudgetSeconds * kParallelism / kRobots;
-    ChaosEngine chaos(spec);
-
-    MpcOptions link_opt = opt;
-    link_opt.linkEnabled = true;
-
-    auto make_batch = [&] {
-        auto p = std::make_unique<BatchController>(model, link_opt,
-                                                   kRobots, threads);
-        p->setCostHook(chaos.costHook());
-        p->setLinkChaos(&chaos);
-        p->enableTimeline(timeline_out != nullptr);
-        return p;
-    };
-    std::unique_ptr<BatchController> batch = make_batch();
-
-    Plant plant(model);
-    std::vector<Vector> truth, meas, refs;
-    for (std::size_t i = 0; i < kRobots; ++i) {
-        double s = static_cast<double>(i);
-        truth.push_back(Vector{0.1 * s, -0.03 * s});
-        meas.push_back(Vector{0.0, 0.0});
-        refs.push_back(Vector{1.0 + 0.2 * s});
-    }
-
-    LinkStormResult result;
-    result.lossRate = loss;
-    const int settle = batches / 3;
-    double err_sum = 0.0;
-    std::uint64_t err_n = 0;
-
-    const std::string tag = "link_storm_" + std::to_string(storm_index);
-    const std::string ckpt_path =
-        crash ? crash->dir + "/" + tag + ".rbcp" : std::string();
-    // A distinct nonce channel from the compute storms, so the two
-    // sweeps are killed at independent batch indices.
-    const std::vector<int> kills =
-        crash ? crashSchedule(seed, 0x100 + storm_index, batches, *crash)
-              : std::vector<int>();
-    std::size_t next_kill = 0;
-
-    auto cold_start = [&] {
-        for (std::size_t i = 0; i < kRobots; ++i) {
-            double s = static_cast<double>(i);
-            truth[i] = Vector{0.1 * s, -0.03 * s};
-        }
-        err_sum = 0.0;
-        err_n = 0;
-        result = LinkStormResult();
-        result.lossRate = loss;
-        return 0;
-    };
-
-    std::uint64_t saved_b = 0;
-    auto world = [&](auto &ar) {
-        return ar.u64(saved_b) && ar.vectorList(truth) &&
-               ar.f64(err_sum) && ar.u64(err_n) &&
-               ar.f64(result.maxTrackingError);
-    };
-
-    int b = 0;
-    while (b < batches) {
-        if (crash && next_kill < kills.size() && b == kills[next_kill]) {
-            ++next_kill;
-            robox::support::writeFileAtomic(
-                crash->dir + "/postmortem_" + tag + "_" +
-                    std::to_string(next_kill) + ".json",
-                batch->flightRecorder().toJson());
-            batch = make_batch();
-            std::string blob;
-            bool restored = false;
-            if (robox::support::readFile(ckpt_path, &blob)) {
-                robox::support::CheckpointReader r(blob);
-                restored = world(r) && batch->restore(r) && r.atEnd();
-            }
-            if (!restored) {
-                std::fprintf(stderr,
-                             "overload_storm: %s checkpoint unusable, "
-                             "cold-starting\n",
-                             tag.c_str());
-                batch = make_batch();
-                b = cold_start();
-            } else {
-                b = static_cast<int>(saved_b);
-            }
-            continue;
-        }
-
-        chaos.setBatch(static_cast<std::uint64_t>(b));
-        for (std::size_t i = 0; i < kRobots; ++i)
-            meas[i].copyFrom(truth[i]);
-        const auto &results = batch->solveAll(meas, refs);
-        for (std::size_t i = 0; i < kRobots; ++i) {
-            // In link mode every result carries the command the robot
-            // actually executes — a fresh plan head or its buffered
-            // open-loop tail (shed robots included; see mpc/link.hh).
-            truth[i] =
-                plant.step(truth[i], results[i].u0, refs[i], opt.dt);
-            if (b >= settle) {
-                double e = std::abs(truth[i][0] - refs[i][0]);
-                result.maxTrackingError =
-                    std::max(result.maxTrackingError, e);
-                err_sum += e;
-                ++err_n;
-            }
-        }
-        ++b;
-        if (crash && b % crash->checkpointEvery == 0) {
-            robox::support::CheckpointWriter w;
-            saved_b = static_cast<std::uint64_t>(b);
-            world(w);
-            batch->checkpoint(w);
-            robox::support::writeFileAtomic(ckpt_path, w.finish());
-        }
-    }
-
-    const robox::mpc::BatchReport &report = batch->report();
-    const robox::mpc::LinkReport &link = report.overload.link;
-    result.uplinkDropped = link.uplinkDropped;
-    result.downlinkDropped = link.downlinkDropped;
-    result.retransmits = link.retransmits;
-    result.planMisses = link.planMisses;
-    result.statesExtrapolated = link.statesExtrapolated;
-    result.staleDemotions = link.staleDemotions;
-    result.linkDownEvents = link.linkDownEvents;
-    result.servedFromBackup = report.overload.servedFromBackup;
-    result.shed = report.overload.shed;
-    result.meanTrackingError =
-        err_n > 0 ? err_sum / static_cast<double>(err_n) : 0.0;
-    if (timeline_out)
-        *timeline_out = batch->timeline();
-    return result;
+    return load * kBudgetSeconds * kParallelism / kRobots;
 }
 
 /** One live-upgrade scenario: which candidate is staged against the
@@ -590,279 +154,173 @@ const UpgradeScenario kUpgradeScenarios[] = {
     {"rollback_latency", kDoubleIntegrator, false, 4.0, 1, 8, 0.25,
      0.25, 5e-2},
 };
+constexpr std::size_t kNumUpgradeScenarios =
+    sizeof(kUpgradeScenarios) / sizeof(kUpgradeScenarios[0]);
 
-/** Outcome of one upgrade scenario. */
-struct UpgradeStormResult
+/** Compute storm: stalls, load bursts and poisoned measurements at
+ *  offered load `load`. Robots 0 and 1 are high priority: shed last. */
+void
+describeStorm(Scenario &s, double load)
 {
-    std::string name;
-    bool scheduled = false; //!< scheduleUpgrade() accepted the stage.
-    UpgradeReport upgrade;
-    std::uint64_t shed = 0;
-    std::uint64_t servedFromBackup = 0;
-    double maxTrackingError = 0.0;
-    double meanTrackingError = 0.0;
-};
+    s.chaos.stallRate = 0.1;
+    s.chaos.stallCostSeconds = 0.5 * kBudgetSeconds;
+    s.chaos.stallSpinSeconds = 5e-5; // Real jitter; never in the output.
+    s.chaos.burstRate = 0.15;
+    s.chaos.burstFactor = 2.0;
+    s.chaos.poisonRate = 0.01;
+    s.chaos.virtualSolveCostSeconds = solveCostAt(load);
+    s.protectedRobots = 2;
+}
 
-/** One closed-loop upgrade storm: compute is underloaded (offered
- *  load 0.5, virtual time) and chaos injection is off, so every
- *  admission decision below is attributable to the rollout itself —
+/** Link storm: compute is underloaded, so every demotion comes from
+ *  the link layer — dropped uplinks forcing extrapolation and
+ *  staleness demotions, dropped plans forcing the robots onto buffered
+ *  tails. */
+void
+describeLinkStorm(Scenario &s, double loss)
+{
+    s.options.linkEnabled = true;
+    s.chaos.uplinkDropRate = loss;
+    s.chaos.downlinkDropRate = loss;
+    s.chaos.uplinkDelayRate = 0.5 * loss;
+    s.chaos.downlinkDelayRate = 0.5 * loss;
+    s.chaos.linkDelayPeriodsMax = 2;
+    s.chaos.uplinkDupRate = 0.25 * loss;
+    s.chaos.downlinkDupRate = 0.25 * loss;
+    s.chaos.linkBlackoutRate = 0.05 * loss;
+    s.chaos.linkBlackoutBatches = 4;
+}
+
+/** Upgrade storm: compute is underloaded and chaos injection is off,
+ *  so every admission decision is attributable to the rollout itself —
  *  the zero-shed gate is exact, not statistical. The candidate is
- *  staged a few batches in and the rollout left to run its course. */
-UpgradeStormResult
-runUpgradeStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
-                const UpgradeScenario &scenario, std::uint64_t seed,
-                int batches, std::size_t threads,
-                FleetTimeline *timeline_out)
+ *  staged a few batches in and the rollout left to run its course.
+ *  Rollout knobs live on the incumbent's options. */
+UpgradeCandidate
+describeUpgradeStorm(Scenario &s, const UpgradeScenario &u)
 {
-    ChaosSpec spec;
-    spec.seed = seed;
-    spec.virtualSolveCostSeconds =
-        0.5 * kBudgetSeconds * kParallelism / kRobots;
-    ChaosEngine chaos(spec);
+    s.options.upgradeShadowPeriods = u.shadowPeriods;
+    s.options.upgradeCanaryPeriods = u.canaryPeriods;
+    s.options.upgradeCanaryFraction = u.canaryFraction;
+    s.options.upgradeFailAbs = u.failAbs;
+    s.options.upgradeFailRel = u.failRel;
+    s.options.upgradeSeed = s.chaos.seed;
 
-    // Rollout knobs live on the incumbent's options.
-    MpcOptions up_opt = opt;
-    up_opt.upgradeShadowPeriods = scenario.shadowPeriods;
-    up_opt.upgradeCanaryPeriods = scenario.canaryPeriods;
-    up_opt.upgradeCanaryFraction = scenario.canaryFraction;
-    up_opt.upgradeFailAbs = scenario.failAbs;
-    up_opt.upgradeFailRel = scenario.failRel;
-    up_opt.upgradeSeed = seed;
-
-    BatchController batch(model, up_opt, kRobots, threads);
-    batch.setCostHook(chaos.costHook());
-    batch.enableTimeline(timeline_out != nullptr);
-
-    Plant plant(model);
-    std::vector<Vector> truth, meas, refs;
-    std::vector<Vector> last_u(kRobots, Vector{0.0});
-    for (std::size_t i = 0; i < kRobots; ++i) {
-        double s = static_cast<double>(i);
-        truth.push_back(Vector{0.1 * s, -0.03 * s});
-        meas.push_back(Vector{0.0, 0.0});
-        refs.push_back(Vector{1.0 + 0.2 * s});
-    }
-
-    UpgradeStormResult result;
-    result.name = scenario.name;
-    const int settle = batches / 3;
-    const int upgrade_at = 5; //!< Stage after the loop has settled in.
-    double err_sum = 0.0;
-    std::uint64_t err_n = 0;
-
-    for (int b = 0; b < batches; ++b) {
-        if (b == upgrade_at) {
-            UpgradeCandidate cand;
-            cand.model = robox::dsl::analyzeSource(scenario.source);
-            cand.options = up_opt;
-            cand.image =
-                robox::compiler::packImage(robox::compiler::IsaStreams());
-            if (scenario.corruptImage)
-                cand.image[robox::compiler::kImageHeaderBytes - 1] ^=
-                    0x01;
-            cand.modeledCostScale = scenario.modeledCostScale;
-            result.scheduled = batch.scheduleUpgrade(cand) ==
-                               UpgradeScheduleStatus::Scheduled;
-        }
-        chaos.setBatch(static_cast<std::uint64_t>(b));
-        for (std::size_t i = 0; i < kRobots; ++i)
-            meas[i].copyFrom(truth[i]);
-        const auto &results = batch.solveAll(meas, refs);
-        for (std::size_t i = 0; i < kRobots; ++i) {
-            if (results[i].status != SolveStatus::Shed)
-                last_u[i].copyFrom(results[i].u0);
-            truth[i] = plant.step(truth[i], last_u[i], refs[i], opt.dt);
-            if (b >= settle) {
-                double e = std::abs(truth[i][0] - refs[i][0]);
-                result.maxTrackingError =
-                    std::max(result.maxTrackingError, e);
-                err_sum += e;
-                ++err_n;
-            }
-        }
-    }
-
-    const robox::mpc::BatchReport &report = batch.report();
-    result.upgrade = report.upgrade;
-    result.shed = report.overload.shed;
-    result.servedFromBackup = report.overload.servedFromBackup;
-    result.meanTrackingError =
-        err_n > 0 ? err_sum / static_cast<double>(err_n) : 0.0;
-    if (timeline_out)
-        *timeline_out = batch.timeline();
-    return result;
-}
-
-/** One sweep point in the uniform StatGroup::toJson() schema. No
- *  wall-clock quantity and no thread count appear, so the report
- *  diffs byte-for-byte across runs and across --threads values. */
-std::string
-stormPointJson(const StormResult &r)
-{
-    using robox::stats::Scalar;
-    using robox::stats::StatGroup;
-
-    auto scalar = [](const char *name, const char *desc, double v) {
-        Scalar s(name, desc);
-        s.set(v);
-        return s;
-    };
-    std::vector<Scalar> scalars;
-    scalars.reserve(13);
-    scalars.push_back(scalar("offeredLoad", "demand / budget",
-                             r.offeredLoad));
-    scalars.push_back(scalar("overloadedBatches",
-                             "batches projected over budget",
-                             static_cast<double>(r.overloadedBatches)));
-    scalars.push_back(scalar("degraded", "degraded-budget solves",
-                             static_cast<double>(r.degraded)));
-    scalars.push_back(scalar("servedFromBackup", "backup-tail serves",
-                             static_cast<double>(r.servedFromBackup)));
-    scalars.push_back(scalar("shed", "robots shed",
-                             static_cast<double>(r.shed)));
-    scalars.push_back(scalar("badInput", "input rejections",
-                             static_cast<double>(r.badInput)));
-    scalars.push_back(scalar("poisoned", "sensor-gate demotions",
-                             static_cast<double>(r.poisoned)));
-    scalars.push_back(scalar("failures", "non-usable solves",
-                             static_cast<double>(r.failures)));
-    scalars.push_back(scalar("protectedShed",
-                             "sheds of high-priority robots",
-                             static_cast<double>(r.protectedShed)));
-    scalars.push_back(scalar("projectedSeconds",
-                             "last batch projected (virtual) cost",
-                             r.projectedSeconds));
-    scalars.push_back(scalar("admittedSeconds",
-                             "last batch admitted (virtual) cost",
-                             r.admittedSeconds));
-    scalars.push_back(scalar("maxTrackingError",
-                             "worst post-settle tracking error",
-                             r.maxTrackingError));
-    scalars.push_back(scalar("meanTrackingError",
-                             "mean post-settle tracking error",
-                             r.meanTrackingError));
-
-    StatGroup group("storm");
-    for (Scalar &s : scalars)
-        group.add(&s);
-    return group.toJson();
-}
-
-/** One link-sweep point, same diffable StatGroup::toJson() schema. */
-std::string
-linkStormPointJson(const LinkStormResult &r)
-{
-    using robox::stats::Scalar;
-    using robox::stats::StatGroup;
-
-    auto scalar = [](const char *name, const char *desc, double v) {
-        Scalar s(name, desc);
-        s.set(v);
-        return s;
-    };
-    std::vector<Scalar> scalars;
-    scalars.reserve(12);
-    scalars.push_back(scalar("lossRate", "per-message drop probability",
-                             r.lossRate));
-    scalars.push_back(scalar("uplinkDropped", "state uplinks lost",
-                             static_cast<double>(r.uplinkDropped)));
-    scalars.push_back(scalar("downlinkDropped", "plan downlinks lost",
-                             static_cast<double>(r.downlinkDropped)));
-    scalars.push_back(scalar("retransmits", "backoff plan retransmits",
-                             static_cast<double>(r.retransmits)));
-    scalars.push_back(scalar("planMisses",
-                             "periods a robot flew its buffered tail",
-                             static_cast<double>(r.planMisses)));
-    scalars.push_back(scalar("statesExtrapolated",
-                             "stale states served via rollout",
-                             static_cast<double>(r.statesExtrapolated)));
-    scalars.push_back(scalar("staleDemotions",
-                             "states past the staleness bound",
-                             static_cast<double>(r.staleDemotions)));
-    scalars.push_back(scalar("linkDownEvents", "heartbeat loss events",
-                             static_cast<double>(r.linkDownEvents)));
-    scalars.push_back(scalar("servedFromBackup", "backup-tail serves",
-                             static_cast<double>(r.servedFromBackup)));
-    scalars.push_back(scalar("shed", "robots shed",
-                             static_cast<double>(r.shed)));
-    scalars.push_back(scalar("maxTrackingError",
-                             "worst post-settle tracking error",
-                             r.maxTrackingError));
-    scalars.push_back(scalar("meanTrackingError",
-                             "mean post-settle tracking error",
-                             r.meanTrackingError));
-
-    StatGroup group("link_storm");
-    for (Scalar &s : scalars)
-        group.add(&s);
-    return group.toJson();
-}
-
-/** One upgrade-scenario point; the group name carries the scenario so
- *  the schema stays pure StatGroup::toJson() like the other sweeps. */
-std::string
-upgradeStormPointJson(const UpgradeStormResult &r)
-{
-    using robox::stats::Scalar;
-    using robox::stats::StatGroup;
-
-    auto scalar = [](const char *name, const char *desc, double v) {
-        Scalar s(name, desc);
-        s.set(v);
-        return s;
-    };
-    auto count = [&scalar](const char *name, const char *desc,
-                           std::uint64_t v) {
-        return scalar(name, desc, static_cast<double>(v));
-    };
-    const UpgradeReport &up = r.upgrade;
-    std::vector<Scalar> scalars;
-    scalars.reserve(14);
-    scalars.push_back(scalar("scheduled", "scheduleUpgrade() accepted",
-                             r.scheduled ? 1.0 : 0.0));
-    scalars.push_back(count("phase", "final UpgradePhase value",
-                            up.phase));
-    scalars.push_back(count("committed", "candidates committed",
-                            up.committed));
-    scalars.push_back(count("rolledBack", "canary rollbacks",
-                            up.rolledBack));
-    scalars.push_back(count("rejectedCandidates", "shadow rejections",
-                            up.rejectedCandidates));
-    scalars.push_back(count("rejectedImages",
-                            "images failing the CRC admission gate",
-                            up.rejectedImages));
-    scalars.push_back(count("shadowSolves", "candidate shadow solves",
-                            up.shadowSolves));
-    scalars.push_back(count("canaryRobots",
-                            "robots that served the candidate",
-                            up.canaryRobots));
-    scalars.push_back(count("divergenceFails",
-                            "solves past the divergence fail band",
-                            up.divergenceFails));
-    scalars.push_back(scalar("maxDivergence",
-                             "worst command divergence seen",
-                             up.maxDivergence));
-    scalars.push_back(count("rollbackDivergence",
-                            "failures charged to divergence",
-                            up.rollbackDivergence));
-    scalars.push_back(count("rollbackLatency",
-                            "failures charged to the latency guard",
-                            up.rollbackLatency));
-    scalars.push_back(count("shed", "robots shed (must be 0)", r.shed));
-    scalars.push_back(scalar("maxTrackingError",
-                             "worst post-settle tracking error",
-                             r.maxTrackingError));
-
-    StatGroup group("upgrade_" + r.name);
-    for (Scalar &s : scalars)
-        group.add(&s);
-    return group.toJson();
+    UpgradeCandidate cand = robox::bench::makeCandidate(u.source, s.options);
+    if (u.corruptImage)
+        cand.image[robox::compiler::kImageHeaderBytes - 1] ^= 0x01;
+    cand.modeledCostScale = u.modeledCostScale;
+    return cand;
 }
 
 std::string
-reportJson(const std::vector<StormResult> &sweep,
-           const std::vector<LinkStormResult> &link_sweep,
-           const std::vector<UpgradeStormResult> &upgrade_sweep,
+stormPointJson(double load, const ScenarioResult &r)
+{
+    const OverloadReport &ov = r.report.overload;
+    return pointJson(
+        "storm",
+        {{"offeredLoad", "demand / budget", load},
+         {"overloadedBatches", "batches projected over budget",
+          count(ov.overloadedBatches)},
+         {"degraded", "degraded-budget solves", count(ov.degraded)},
+         {"servedFromBackup", "backup-tail serves",
+          count(ov.servedFromBackup)},
+         {"shed", "robots shed", count(ov.shed)},
+         {"badInput", "input rejections", count(ov.badInput)},
+         {"poisoned", "sensor-gate demotions", count(ov.poisoned)},
+         {"failures", "non-usable solves", count(r.report.failures)},
+         {"protectedShed", "sheds of high-priority robots",
+          count(r.world.protectedShed)},
+         {"projectedSeconds", "last batch projected (virtual) cost",
+          ov.projectedSeconds},
+         {"admittedSeconds", "last batch admitted (virtual) cost",
+          ov.admittedSeconds},
+         {"maxTrackingError", "worst post-settle tracking error",
+          r.world.maxError},
+         {"meanTrackingError", "mean post-settle tracking error",
+          r.world.meanError()}});
+}
+
+std::string
+linkStormPointJson(double loss, const ScenarioResult &r)
+{
+    const OverloadReport &ov = r.report.overload;
+    const LinkReport &ln = ov.link;
+    return pointJson(
+        "link_storm",
+        {{"lossRate", "per-message drop probability", loss},
+         {"uplinkDropped", "state uplinks lost", count(ln.uplinkDropped)},
+         {"downlinkDropped", "plan downlinks lost",
+          count(ln.downlinkDropped)},
+         {"retransmits", "backoff plan retransmits",
+          count(ln.retransmits)},
+         {"planMisses", "periods a robot flew its buffered tail",
+          count(ln.planMisses)},
+         {"statesExtrapolated", "stale states served via rollout",
+          count(ln.statesExtrapolated)},
+         {"staleDemotions", "states past the staleness bound",
+          count(ln.staleDemotions)},
+         {"linkDownEvents", "heartbeat loss events",
+          count(ln.linkDownEvents)},
+         {"servedFromBackup", "backup-tail serves",
+          count(ov.servedFromBackup)},
+         {"shed", "robots shed", count(ov.shed)},
+         {"maxTrackingError", "worst post-settle tracking error",
+          r.world.maxError},
+         {"meanTrackingError", "mean post-settle tracking error",
+          r.world.meanError()}});
+}
+
+/** The group name carries the scenario, so the schema stays pure
+ *  StatGroup::toJson() like the other sweeps. */
+std::string
+upgradeStormPointJson(const char *name, const ScenarioResult &r)
+{
+    const UpgradeReport &up = r.report.upgrade;
+    return pointJson(
+        std::string("upgrade_") + name,
+        {{"scheduled", "scheduleUpgrade() accepted",
+          r.world.scheduled ? 1.0 : 0.0},
+         {"phase", "final UpgradePhase value", count(up.phase)},
+         {"committed", "candidates committed", count(up.committed)},
+         {"rolledBack", "canary rollbacks", count(up.rolledBack)},
+         {"rejectedCandidates", "shadow rejections",
+          count(up.rejectedCandidates)},
+         {"rejectedImages", "images failing the CRC admission gate",
+          count(up.rejectedImages)},
+         {"shadowSolves", "candidate shadow solves",
+          count(up.shadowSolves)},
+         {"canaryRobots", "robots that served the candidate",
+          count(up.canaryRobots)},
+         {"divergenceFails", "solves past the divergence fail band",
+          count(up.divergenceFails)},
+         {"maxDivergence", "worst command divergence seen",
+          up.maxDivergence},
+         {"rollbackDivergence", "failures charged to divergence",
+          count(up.rollbackDivergence)},
+         {"rollbackLatency", "failures charged to the latency guard",
+          count(up.rollbackLatency)},
+         {"shed", "robots shed (must be 0)",
+          count(r.report.overload.shed)},
+         {"maxTrackingError", "worst post-settle tracking error",
+          r.world.maxError}});
+}
+
+/** Comma-separated sweep points, one per line. */
+template <class Render>
+void
+writePoints(std::ostringstream &os, std::size_t n, Render render)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        os << render(i) << (i + 1 < n ? ",\n" : "\n");
+}
+
+std::string
+reportJson(const std::vector<double> &loads,
+           const std::vector<ScenarioResult> &sweep,
+           const std::vector<double> &losses,
+           const std::vector<ScenarioResult> &link_sweep,
+           const std::vector<ScenarioResult> &upgrade_sweep,
            std::uint64_t seed, int batches)
 {
     std::ostringstream os;
@@ -874,25 +332,39 @@ reportJson(const std::vector<StormResult> &sweep,
        << "\"seed\": " << seed << ",\n"
        << "\"batches\": " << batches << ",\n"
        << "\"sweep\": [\n";
-    for (std::size_t i = 0; i < sweep.size(); ++i)
-        os << stormPointJson(sweep[i])
-           << (i + 1 < sweep.size() ? ",\n" : "\n");
+    writePoints(os, sweep.size(), [&](std::size_t i) {
+        return stormPointJson(loads[i], sweep[i]);
+    });
     os << "],\n\"link_sweep\": [\n";
-    for (std::size_t i = 0; i < link_sweep.size(); ++i)
-        os << linkStormPointJson(link_sweep[i])
-           << (i + 1 < link_sweep.size() ? ",\n" : "\n");
+    writePoints(os, link_sweep.size(), [&](std::size_t i) {
+        return linkStormPointJson(losses[i], link_sweep[i]);
+    });
     os << "]";
     // Present only under --upgrade, so the default report's bytes are
     // unchanged from before live upgrades existed.
     if (!upgrade_sweep.empty()) {
         os << ",\n\"upgrade_sweep\": [\n";
-        for (std::size_t i = 0; i < upgrade_sweep.size(); ++i)
-            os << upgradeStormPointJson(upgrade_sweep[i])
-               << (i + 1 < upgrade_sweep.size() ? ",\n" : "\n");
+        writePoints(os, upgrade_sweep.size(), [&](std::size_t i) {
+            return upgradeStormPointJson(kUpgradeScenarios[i].name,
+                                         upgrade_sweep[i]);
+        });
         os << "]";
     }
     os << "\n}\n";
     return os.str();
+}
+
+/** Parse a whole flag value in [1, max]; anything else is refused. */
+bool
+parseCount(const char *text, long max, long *out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < 1 || v > max)
+        return false;
+    *out = v;
+    return true;
 }
 
 } // namespace
@@ -909,55 +381,56 @@ main(int argc, char **argv)
     const char *link_timeline_path = nullptr;
     const char *upgrade_timeline_path = nullptr;
     CrashPlan plan;
+    auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: overload_storm [--smoke] [--threads N]"
+                     " [--metrics PATH] [--timeline PATH]"
+                     " [--link-timeline PATH] [--upgrade]"
+                     " [--upgrade-timeline PATH] [--kill-resume]"
+                     " [--checkpoint-every N] [--checkpoint-dir"
+                     " PATH]\n");
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
+        const bool has_value = i + 1 < argc;
+        long n = 0;
         if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
         } else if (std::strcmp(argv[i], "--kill-resume") == 0) {
             kill_resume = true;
         } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-                   i + 1 < argc) {
-            plan.checkpointEvery = static_cast<int>(
-                std::max(1L, std::atol(argv[++i])));
+                   has_value) {
+            if (!parseCount(argv[++i], INT_MAX, &n))
+                return usage();
+            plan.checkpointEvery = static_cast<int>(n);
         } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 &&
-                   i + 1 < argc) {
+                   has_value) {
             plan.dir = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            threads = static_cast<std::size_t>(
-                std::max(1L, std::atol(argv[++i])));
-        } else if (std::strcmp(argv[i], "--timeline") == 0 &&
-                   i + 1 < argc) {
+        } else if (std::strcmp(argv[i], "--threads") == 0 && has_value) {
+            if (!parseCount(argv[++i], LONG_MAX, &n))
+                return usage();
+            threads = static_cast<std::size_t>(n);
+        } else if (std::strcmp(argv[i], "--timeline") == 0 && has_value) {
             timeline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--metrics") == 0 &&
-                   i + 1 < argc) {
+        } else if (std::strcmp(argv[i], "--metrics") == 0 && has_value) {
             metrics_path = argv[++i];
         } else if (std::strcmp(argv[i], "--link-timeline") == 0 &&
-                   i + 1 < argc) {
+                   has_value) {
             link_timeline_path = argv[++i];
         } else if (std::strcmp(argv[i], "--upgrade") == 0) {
             upgrade = true;
         } else if (std::strcmp(argv[i], "--upgrade-timeline") == 0 &&
-                   i + 1 < argc) {
+                   has_value) {
             upgrade_timeline_path = argv[++i];
             upgrade = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: overload_storm [--smoke] [--threads N]"
-                         " [--metrics PATH] [--timeline PATH]"
-                         " [--link-timeline PATH] [--upgrade]"
-                         " [--upgrade-timeline PATH] [--kill-resume]"
-                         " [--checkpoint-every N] [--checkpoint-dir"
-                         " PATH]\n");
-            return 2;
+            return usage();
         }
     }
 
     robox::dsl::ModelSpec model =
         robox::dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt;
-    opt.horizon = 12;
-    opt.dt = 0.1;
-    opt.maxIterations = 60;
+    MpcOptions opt = robox::bench::integratorOptions();
     opt.batchDeadlineSeconds = kBudgetSeconds;
     opt.overloadParallelism = kParallelism;
     // Backup service priced so extreme storms overflow even an
@@ -983,87 +456,100 @@ main(int argc, char **argv)
 
     const CrashPlan *crash = kill_resume ? &plan : nullptr;
 
+    // Every sweep runs the same underloaded fleet by default; a sweep's
+    // description then adds its chaos and what it stages. Each sweep
+    // draws its kills on its own nonce channel, so the sweeps are
+    // killed at independent batch indices.
+    auto fleet = [&](const char *sweep, std::size_t i,
+                     std::uint64_t nonce_base, bool timeline) {
+        Scenario s;
+        s.tag = sweep + std::to_string(i);
+        s.crashNonce = nonce_base + i;
+        s.options = opt;
+        s.chaos.seed = kSeed;
+        s.chaos.virtualSolveCostSeconds = solveCostAt(0.5);
+        s.robots = kRobots;
+        s.threads = threads;
+        s.batches = batches;
+        s.timeline = timeline;
+        return s;
+    };
+
     // The fleet timeline is recorded for the highest-load storm — the
-    // one whose ladder activity is worth looking at.
-    FleetTimeline timeline;
-    std::vector<StormResult> sweep;
+    // one whose ladder activity is worth looking at — and the link
+    // timeline for the worst-loss link storm.
+    std::vector<ScenarioResult> sweep;
     for (std::size_t i = 0; i < loads.size(); ++i) {
-        const bool last = i + 1 == loads.size();
-        sweep.push_back(runStorm(model, opt, loads[i], kSeed, batches,
-                                 threads,
-                                 timeline_path && last ? &timeline
-                                                       : nullptr,
-                                 crash, i));
+        Scenario s = fleet("storm_", i, 0,
+                           timeline_path && i + 1 == loads.size());
+        describeStorm(s, loads[i]);
+        sweep.push_back(runScenario(model, s, crash));
     }
-    // Likewise the link timeline for the worst-loss link storm.
-    FleetTimeline link_timeline;
-    std::vector<LinkStormResult> link_sweep;
+    std::vector<ScenarioResult> link_sweep;
     for (std::size_t i = 0; i < losses.size(); ++i) {
-        const bool last = i + 1 == losses.size();
-        link_sweep.push_back(
-            runLinkStorm(model, opt, losses[i], kSeed, batches, threads,
-                         link_timeline_path && last ? &link_timeline
-                                                    : nullptr,
-                         crash, i));
+        Scenario s = fleet("link_storm_", i, 0x100,
+                           link_timeline_path && i + 1 == losses.size());
+        describeLinkStorm(s, losses[i]);
+        link_sweep.push_back(runScenario(model, s, crash));
     }
-    // The upgrade sweep: one storm per rollout scenario, at a fixed
-    // underloaded point. The timeline (upgrade-category markers) is
-    // recorded for the committing scenario — the only one that walks
-    // the whole shadow -> canary -> commit path.
-    FleetTimeline upgrade_timeline;
-    std::vector<UpgradeStormResult> upgrade_sweep;
-    if (upgrade) {
-        for (std::size_t i = 0;
-             i < sizeof(kUpgradeScenarios) / sizeof(kUpgradeScenarios[0]);
-             ++i) {
-            upgrade_sweep.push_back(runUpgradeStorm(
-                model, opt, kUpgradeScenarios[i], kSeed, batches,
-                threads,
-                upgrade_timeline_path && i == 0 ? &upgrade_timeline
-                                                : nullptr));
-        }
+    // The upgrade sweep: one storm per rollout scenario. Its timeline
+    // (upgrade-category markers) is recorded for the committing
+    // scenario — the only one that walks the whole shadow -> canary ->
+    // commit path.
+    std::vector<ScenarioResult> upgrade_sweep;
+    for (std::size_t i = 0; upgrade && i < kNumUpgradeScenarios; ++i) {
+        Scenario s = fleet("upgrade_storm_", i, 0x200,
+                           upgrade_timeline_path && i == 0);
+        const UpgradeCandidate cand =
+            describeUpgradeStorm(s, kUpgradeScenarios[i]);
+        s.upgrade = &cand;
+        upgrade_sweep.push_back(runScenario(model, s, crash));
     }
-    const std::string report =
-        reportJson(sweep, link_sweep, upgrade_sweep, kSeed, batches);
+    const std::string report = reportJson(loads, sweep, losses, link_sweep,
+                                          upgrade_sweep, kSeed, batches);
     std::fputs(report.c_str(), stdout);
     if (metrics_path)
         robox::trace::writeTextFile(metrics_path, report);
     if (timeline_path)
-        timeline.writeChromeJson(timeline_path);
+        sweep.back().timeline.writeChromeJson(timeline_path);
     if (link_timeline_path)
-        link_timeline.writeChromeJson(link_timeline_path);
+        link_sweep.back().timeline.writeChromeJson(link_timeline_path);
     if (upgrade_timeline_path)
-        upgrade_timeline.writeChromeJson(upgrade_timeline_path);
+        upgrade_sweep.front().timeline.writeChromeJson(
+            upgrade_timeline_path);
 
     // Sanity gates: a storm study whose underloaded point degrades
     // service, whose overloaded point doesn't, or whose loop blows up
     // would be useless as a regression signal; fail loudly instead.
-    const StormResult &calm = sweep.front();
+    auto finite = [](const ScenarioResult &r) {
+        return std::isfinite(r.world.maxError) &&
+               std::isfinite(r.world.meanError());
+    };
+    const OverloadReport &calm = sweep.front().report.overload;
     if (calm.degraded != 0 || calm.shed != 0) {
         std::fprintf(stderr, "overload_storm: underloaded point was "
                              "degraded or shed\n");
         return 1;
     }
-    const StormResult &worst = sweep.back();
+    const OverloadReport &worst = sweep.back().report.overload;
     if (worst.overloadedBatches == 0 || worst.degraded == 0 ||
         worst.servedFromBackup == 0 || worst.shed == 0) {
         std::fprintf(stderr, "overload_storm: max-load point did not "
                              "exercise every ladder rung\n");
         return 1;
     }
-    for (const StormResult &r : sweep) {
-        if (!std::isfinite(r.maxTrackingError) ||
-            !std::isfinite(r.meanTrackingError)) {
+    for (const ScenarioResult &r : sweep) {
+        if (!finite(r)) {
             std::fprintf(stderr,
                          "overload_storm: closed loop went non-finite\n");
             return 1;
         }
-        if (r.protectedShed != 0) {
+        if (r.world.protectedShed != 0) {
             std::fprintf(stderr, "overload_storm: a high-priority robot "
                                  "was shed\n");
             return 1;
         }
-        if (r.poisoned == 0) {
+        if (r.report.overload.poisoned == 0) {
             std::fprintf(stderr, "overload_storm: chaos poisoning never "
                                  "tripped the sensor gate\n");
             return 1;
@@ -1073,15 +559,16 @@ main(int argc, char **argv)
     // Link-sweep gates: a perfect link must look exactly like the
     // direct path, and the worst-loss point must exercise every
     // degraded-comms mechanism, without the loop going non-finite.
-    const LinkStormResult &clean = link_sweep.front();
+    const LinkReport &clean = link_sweep.front().report.overload.link;
     if (clean.uplinkDropped != 0 || clean.downlinkDropped != 0 ||
         clean.retransmits != 0 || clean.planMisses != 0 ||
-        clean.statesExtrapolated != 0 || clean.servedFromBackup != 0) {
+        clean.statesExtrapolated != 0 ||
+        link_sweep.front().report.overload.servedFromBackup != 0) {
         std::fprintf(stderr, "overload_storm: lossless link point was "
                              "impaired\n");
         return 1;
     }
-    const LinkStormResult &worst_link = link_sweep.back();
+    const LinkReport &worst_link = link_sweep.back().report.overload.link;
     if (worst_link.uplinkDropped == 0 ||
         worst_link.downlinkDropped == 0 || worst_link.retransmits == 0 ||
         worst_link.planMisses == 0 ||
@@ -1090,15 +577,15 @@ main(int argc, char **argv)
                              "exercise the degraded-comms path\n");
         return 1;
     }
-    for (const LinkStormResult &r : link_sweep) {
-        if (!std::isfinite(r.maxTrackingError) ||
-            !std::isfinite(r.meanTrackingError)) {
+    for (const ScenarioResult &r : link_sweep) {
+        if (!finite(r)) {
             std::fprintf(stderr, "overload_storm: link-storm loop went "
                                  "non-finite\n");
             return 1;
         }
     }
-    if (clean.meanTrackingError > worst_link.meanTrackingError + 1e-9) {
+    if (link_sweep.front().world.meanError() >
+        link_sweep.back().world.meanError() + 1e-9) {
         std::fprintf(stderr, "overload_storm: loss made tracking "
                              "better than the lossless link\n");
         return 1;
@@ -1109,56 +596,51 @@ main(int argc, char **argv)
     // promises that no robot misses a command, so a single Shed here
     // is a regression, not noise.
     if (upgrade) {
-        for (const UpgradeStormResult &r : upgrade_sweep) {
-            if (r.shed != 0) {
+        for (std::size_t i = 0; i < upgrade_sweep.size(); ++i) {
+            const ScenarioResult &r = upgrade_sweep[i];
+            if (r.report.overload.shed != 0) {
                 std::fprintf(stderr,
                              "overload_storm: upgrade scenario %s shed "
                              "a robot\n",
-                             r.name.c_str());
+                             kUpgradeScenarios[i].name);
                 return 1;
             }
-            if (!std::isfinite(r.maxTrackingError) ||
-                !std::isfinite(r.meanTrackingError)) {
+            if (!finite(r)) {
                 std::fprintf(stderr,
                              "overload_storm: upgrade scenario %s went "
                              "non-finite\n",
-                             r.name.c_str());
+                             kUpgradeScenarios[i].name);
                 return 1;
             }
         }
-        const UpgradeStormResult &commit = upgrade_sweep[0];
-        const UpgradeStormResult &bad_image = upgrade_sweep[1];
-        const UpgradeStormResult &diverged = upgrade_sweep[2];
-        const UpgradeStormResult &slow = upgrade_sweep[3];
-        if (!commit.scheduled || commit.upgrade.committed != 1 ||
-            commit.upgrade.canaryRobots == 0 ||
-            commit.upgrade.shadowSolves == 0 ||
-            commit.upgrade.divergenceFails != 0 ||
-            commit.upgrade.version != 2) {
+        const UpgradeReport &commit = upgrade_sweep[0].report.upgrade;
+        const UpgradeReport &bad_image = upgrade_sweep[1].report.upgrade;
+        const UpgradeReport &diverged = upgrade_sweep[2].report.upgrade;
+        const UpgradeReport &slow = upgrade_sweep[3].report.upgrade;
+        if (!upgrade_sweep[0].world.scheduled || commit.committed != 1 ||
+            commit.canaryRobots == 0 || commit.shadowSolves == 0 ||
+            commit.divergenceFails != 0 || commit.version != 2) {
             std::fprintf(stderr, "overload_storm: benign candidate did "
                                  "not commit cleanly\n");
             return 1;
         }
-        if (bad_image.scheduled ||
-            bad_image.upgrade.rejectedImages != 1 ||
-            bad_image.upgrade.shadowSolves != 0) {
+        if (upgrade_sweep[1].world.scheduled ||
+            bad_image.rejectedImages != 1 || bad_image.shadowSolves != 0) {
             std::fprintf(stderr, "overload_storm: corrupt image was not "
                                  "stopped at the admission gate\n");
             return 1;
         }
-        if (!diverged.scheduled ||
-            diverged.upgrade.rejectedCandidates != 1 ||
-            diverged.upgrade.rollbackDivergence != 1 ||
-            diverged.upgrade.divergenceFails == 0 ||
-            diverged.upgrade.committed != 0) {
+        if (!upgrade_sweep[2].world.scheduled ||
+            diverged.rejectedCandidates != 1 ||
+            diverged.rollbackDivergence != 1 ||
+            diverged.divergenceFails == 0 || diverged.committed != 0) {
             std::fprintf(stderr, "overload_storm: divergent candidate "
                                  "was not rejected in shadow\n");
             return 1;
         }
-        if (!slow.scheduled || slow.upgrade.rolledBack != 1 ||
-            slow.upgrade.rollbackLatency != 1 ||
-            slow.upgrade.canaryRobots == 0 ||
-            slow.upgrade.committed != 0) {
+        if (!upgrade_sweep[3].world.scheduled || slow.rolledBack != 1 ||
+            slow.rollbackLatency != 1 || slow.canaryRobots == 0 ||
+            slow.committed != 0) {
             std::fprintf(stderr, "overload_storm: slow candidate was "
                                  "not rolled back from canary\n");
             return 1;
@@ -1170,6 +652,18 @@ main(int argc, char **argv)
     // byte must be rejected (CRC) and leave the fresh controller
     // serving from a clean cold start — never a crash.
     if (kill_resume) {
+        // A checkpoint or postmortem that never reached the disk makes
+        // a kill cold-start instead of resuming: the gate is void.
+        for (const auto *runs : {&sweep, &link_sweep, &upgrade_sweep}) {
+            for (const ScenarioResult &r : *runs) {
+                if (r.writeFailed) {
+                    std::fprintf(stderr, "overload_storm: kill-resume "
+                                         "could not write to %s\n",
+                                 plan.dir.c_str());
+                    return 1;
+                }
+            }
+        }
         const std::string last_ckpt =
             plan.dir + "/storm_" + std::to_string(loads.size() - 1) +
             ".rbcp";

@@ -37,6 +37,15 @@ constexpr int kOverloadMinIterations = 3;
  *  still expensive — re-demoted. */
 constexpr double kOverloadRecoveryFactor = 0.5;
 
+/** Serve `u` as the result's command, sizing u0 first if needed. */
+void
+serveCommand(IpmSolver::Result &r, const Vector &u)
+{
+    if (r.u0.size() != u.size())
+        r.u0.resize(u.size());
+    r.u0.copyFrom(u);
+}
+
 } // namespace
 
 BatchController::BatchController(const dsl::ModelSpec &model,
@@ -59,15 +68,9 @@ BatchController::BatchController(const dsl::ModelSpec &model,
         gates_.emplace_back(owned, options);
     }
     results_.resize(num_robots);
-    report_.statuses.assign(num_robots, SolveStatus::Unsolved);
-    priority_.assign(num_robots, 0.0);
-    ewma_.assign(num_robots, 0.0);
     decisions_.assign(num_robots, Admit::Full);
     scale_.assign(num_robots, 1.0);
     order_.reserve(num_robots);
-    prev_decisions_.assign(num_robots, Admit::Full);
-    poisoned_.assign(num_robots, 0);
-    batch_cost_.assign(num_robots, 0.0);
 
     gate_active_ = options.sensorRangeMargin >= 0.0 ||
                    options.sensorJumpThreshold > 0.0 ||
@@ -80,21 +83,15 @@ BatchController::BatchController(const dsl::ModelSpec &model,
     if (options.flightRecorderCapacity > 0)
         recorder_.configure(options.flightRecorderCapacity);
 
-    report_.overload.budgetSeconds = options.batchDeadlineSeconds;
-    const double latency_hi = options.batchDeadlineSeconds > 0.0
-                                  ? 4.0 * options.batchDeadlineSeconds
-                                  : 0.25;
-    report_.overload.batchLatency = stats::Histogram(
-        "batch_seconds", "Batch wall time", 0.0, latency_hi, 64);
-
     std::size_t pool = std::min(num_threads, num_robots);
     if (pool > 1) {
         workers_.reserve(pool);
         for (std::size_t t = 0; t < pool; ++t)
             workers_.emplace_back([this] { workerLoop(); });
     }
-    report_.robots = num_robots;
-    report_.threads = workers_.size();
+    // The report, cost model and timeline baselines start exactly as
+    // a cold start leaves them.
+    coldStart();
 }
 
 BatchController::~BatchController()
@@ -322,8 +319,6 @@ BatchController::serveLocal(std::size_t i)
     IpmSolver::Result &r = results_[i];
     const dsl::ModelSpec &model = solvers_[i]->problem().model();
     const auto nu = static_cast<std::size_t>(model.nu());
-    if (r.u0.size() != nu)
-        r.u0.resize(nu);
     r.converged = false;
     r.iterations = 0;
     r.objective = 0.0;
@@ -331,11 +326,11 @@ BatchController::serveLocal(std::size_t i)
     switch (decisions_[i]) {
       case Admit::Backup:
         r.status = SolveStatus::ServedFromBackup;
-        r.u0.copyFrom(backups_[i].command());
+        serveCommand(r, backups_[i].command());
         break;
       case Admit::BadInput:
         r.status = SolveStatus::BadInput;
-        r.u0.copyFrom(backups_[i].command());
+        serveCommand(r, backups_[i].command());
         break;
       case Admit::Shed:
       default:
@@ -343,6 +338,8 @@ BatchController::serveLocal(std::size_t i)
         // and u0 is only the box-projected zero placeholder; callers
         // should hold the previous actuation.
         r.status = SolveStatus::Shed;
+        if (r.u0.size() != nu)
+            r.u0.resize(nu);
         for (std::size_t j = 0; j < nu; ++j)
             r.u0[j] = std::clamp(0.0, model.inputLower[j],
                                  model.inputUpper[j]);
@@ -382,10 +379,7 @@ BatchController::solveOne(std::size_t i)
     } else {
         // Per-robot failsafe, mirroring core::Controller::step: a
         // failed solve is served from the backup-plan tail.
-        const Vector &u = backups_[i].command();
-        if (results_[i].u0.size() != u.size())
-            results_[i].u0.resize(u.size());
-        results_[i].u0.copyFrom(u);
+        serveCommand(results_[i], backups_[i].command());
         results_[i].degraded = true;
     }
 }
@@ -399,8 +393,7 @@ BatchController::drainQueue()
         if (i >= count)
             return;
         try {
-            if (decisions_[i] == Admit::Full ||
-                decisions_[i] == Admit::Degraded)
+            if (solves(decisions_[i]))
                 solveOne(i);
             else
                 serveLocal(i);
@@ -414,10 +407,7 @@ BatchController::drainQueue()
             results_[i].status = SolveStatus::NumericFailure;
             results_[i].converged = false;
             results_[i].degraded = true;
-            const Vector &u = backups_[i].command();
-            if (results_[i].u0.size() != u.size())
-                results_[i].u0.resize(u.size());
-            results_[i].u0.copyFrom(u);
+            serveCommand(results_[i], backups_[i].command());
             std::lock_guard<std::mutex> lock(mutex_);
             ++thrown_;
             // Deterministic postmortem policy: whatever the thread
@@ -474,9 +464,7 @@ BatchController::finishLinkPeriod()
     // retransmits, drains deliveries into the robot-side buffers, and
     // decides what each robot actually executed.
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
-        const bool solved = decisions_[i] == Admit::Full ||
-                            decisions_[i] == Admit::Degraded;
-        if (solved && statusUsable(results_[i].status))
+        if (solves(decisions_[i]) && statusUsable(results_[i].status))
             link_->sendPlan(i, servingSolver(i).inputTrajectory());
     }
     link_->finishPeriod();
@@ -488,10 +476,7 @@ BatchController::finishLinkPeriod()
         // controller computed, what reached the actuators this period
         // is the buffered open-loop tail.
         IpmSolver::Result &r = results_[i];
-        const Vector &u = link_->executedCommand(i);
-        if (r.u0.size() != u.size())
-            r.u0.resize(u.size());
-        r.u0.copyFrom(u);
+        serveCommand(r, link_->executedCommand(i));
         if (statusUsable(r.status)) {
             // Solved fine, but the plan missed its delivery deadline —
             // the fleet-visible outcome is backup service.
@@ -577,7 +562,7 @@ BatchController::recordTimeline()
                 m.to = to_rung(d);
                 timeline_.recordMarker(m);
             }
-            if (d == Admit::Full || d == Admit::Degraded) {
+            if (solves(d)) {
                 FleetTimeline::SolveSpan span;
                 span.robot = robot;
                 span.batch = batch;
@@ -738,9 +723,7 @@ BatchController::solveAll(const std::vector<Vector> &states,
     ov.lastBatchShed = 0;
     ov.lastBatchBadInput = 0;
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
-        const bool solved = decisions_[i] == Admit::Full ||
-                            decisions_[i] == Admit::Degraded;
-        if (solved) {
+        if (solves(decisions_[i])) {
             const SolveStats &st = servingSolver(i).lastStats();
             report_.totalIterations +=
                 static_cast<std::uint64_t>(st.iterations);

@@ -419,6 +419,12 @@ class BatchController
         BadInput, //!< Rejected by input validation; backup command.
     };
 
+    /** True for the decisions that run a solve (Full, Degraded). */
+    static bool solves(Admit d)
+    {
+        return d == Admit::Full || d == Admit::Degraded;
+    }
+
     template <class Self, class Ar>
     static bool visit(Self &b, Ar &ar, const UpgradeCandidate *candidate);
 

@@ -12,69 +12,24 @@
 #include "dsl/sema.hh"
 #include "mpc/batch.hh"
 #include "support/alloc_hook.hh"
+#include "fleet_scenario.hh"
 
 namespace robox::mpc
 {
 namespace
 {
 
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-    penalty final_pos, final_vel;
-    final_pos.terminal = pos - target;
-    final_pos.weight <= 10 * w_pos;
-    final_vel.terminal = vel;
-    final_vel.weight <= w_pos;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
-
-MpcOptions
-smallOptions(int horizon = 20)
-{
-    MpcOptions opt;
-    opt.horizon = horizon;
-    opt.dt = 0.1;
-    opt.maxIterations = 60;
-    return opt;
-}
-
-/** Distinct per-robot initial states and references. */
-void
-makeFleetInputs(std::size_t robots, std::vector<Vector> &states,
-                std::vector<Vector> &refs)
-{
-    states.clear();
-    refs.clear();
-    for (std::size_t i = 0; i < robots; ++i) {
-        double s = static_cast<double>(i);
-        states.push_back(Vector{0.1 * s, -0.03 * s});
-        refs.push_back(Vector{1.0 + 0.2 * s});
-    }
-}
+using bench::integratorOptions;
+using bench::kDoubleIntegratorTerminal;
+using bench::makeFleetInputs;
 
 // The determinism contract: a batch of 8 robots on 4 worker threads is
 // bitwise identical to 8 serial solves, across several warm-started
 // control periods.
 TEST(Batch, MatchesSerialSolvesBitwise)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    const MpcOptions opt = smallOptions();
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    const MpcOptions opt = integratorOptions(20);
     constexpr std::size_t kRobots = 8;
 
     BatchController batch(model, opt, kRobots, 4);
@@ -84,7 +39,7 @@ TEST(Batch, MatchesSerialSolvesBitwise)
         serial.emplace_back(model, opt);
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(kRobots, states, refs);
+    makeFleetInputs(kRobots, 0.2, states, refs);
 
     for (int round = 0; round < 3; ++round) {
         const auto &results = batch.solveAll(states, refs);
@@ -128,8 +83,8 @@ TEST(Batch, MatchesSerialSolvesBitwise)
 // An inline (single-thread) controller must behave identically too.
 TEST(Batch, InlineControllerMatchesThreaded)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    const MpcOptions opt = smallOptions();
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    const MpcOptions opt = integratorOptions(20);
     constexpr std::size_t kRobots = 4;
 
     BatchController inline_batch(model, opt, kRobots, 1);
@@ -138,7 +93,7 @@ TEST(Batch, InlineControllerMatchesThreaded)
     EXPECT_EQ(threaded.numThreads(), 3u);
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(kRobots, states, refs);
+    makeFleetInputs(kRobots, 0.2, states, refs);
     const auto &a = inline_batch.solveAll(states, refs);
     const auto &b = threaded.solveAll(states, refs);
     for (std::size_t i = 0; i < kRobots; ++i) {
@@ -153,11 +108,11 @@ TEST(Batch, InlineControllerMatchesThreaded)
 // warm start again.
 TEST(Batch, WarmStartReducesBatchIterations)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    BatchController batch(model, smallOptions(30), 4, 2);
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    BatchController batch(model, integratorOptions(30), 4, 2);
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(4, states, refs);
+    makeFleetInputs(4, 0.2, states, refs);
 
     auto batch_iterations = [&] {
         std::uint64_t total = 0;
@@ -185,8 +140,8 @@ TEST(Batch, SteadyStateSolveIsAllocationFree)
     if (!support::allocCountingActive())
         GTEST_SKIP() << "allocation counting hook not linked";
 
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    IpmSolver solver(model, smallOptions());
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    IpmSolver solver(model, integratorOptions(20));
     const Vector ref{1.0};
     solver.solve(Vector{0.0, 0.0}, ref);
     EXPECT_GT(solver.lastStats().heapAllocations, 0u); // Cold start.
@@ -200,10 +155,10 @@ TEST(Batch, SteadyStateBatchIsAllocationFree)
     if (!support::allocCountingActive())
         GTEST_SKIP() << "allocation counting hook not linked";
 
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    BatchController batch(model, smallOptions(), 4, 2);
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    BatchController batch(model, integratorOptions(20), 4, 2);
     std::vector<Vector> states, refs;
-    makeFleetInputs(4, states, refs);
+    makeFleetInputs(4, 0.2, states, refs);
     batch.solveAll(states, refs);
     batch.solveAll(states, refs);
     batch.solveAll(states, refs);

@@ -14,12 +14,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "compiler/binary.hh"
 #include "core/controller.hh"
 #include "dsl/sema.hh"
 #include "mpc/batch.hh"
@@ -29,53 +30,15 @@
 #include "mpc/simulate.hh"
 #include "support/checkpoint.hh"
 #include "support/crc32.hh"
+#include "fleet_scenario.hh"
 
 namespace robox::mpc
 {
 namespace
 {
 
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
-
-MpcOptions
-baseOptions()
-{
-    MpcOptions opt;
-    opt.horizon = 8;
-    opt.dt = 0.1;
-    opt.maxIterations = 40;
-    return opt;
-}
-
-/** Bitwise vector equality (what "resumed identically" means). */
-void
-expectSameBits(const Vector &a, const Vector &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    if (a.size() > 0) {
-        EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
-                                 a.size() * sizeof(double)));
-    }
-}
+using bench::integratorOptions;
+using bench::kDoubleIntegrator;
 
 // ---------------------------------------------------------------------
 // Format layer.
@@ -198,7 +161,7 @@ TEST(CheckpointFormat, AtomicWriteLandsAndOverwrites)
 
 TEST(ControllerCheckpoint, ResumedStepsAreBitwiseIdentical)
 {
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.flightRecorderCapacity = 8;
     core::Controller live(kDoubleIntegrator, opt);
     core::Controller resumed(kDoubleIntegrator, opt);
@@ -235,7 +198,7 @@ TEST(ControllerCheckpoint, ResumedStepsAreBitwiseIdentical)
         auto res = resumed.step(truth2, ref);
         truth2 = plant.step(truth2, res.u0, ref, opt.dt);
     }
-    expectSameBits(truth, truth2);
+    EXPECT_TRUE(bench::sameBits(truth, truth2));
     EXPECT_EQ(live.periods(), resumed.periods());
     EXPECT_EQ(live.lastStatus(), resumed.lastStatus());
     // Both black boxes saw the same flight: byte-identical postmortems.
@@ -244,7 +207,7 @@ TEST(ControllerCheckpoint, ResumedStepsAreBitwiseIdentical)
 
 TEST(ControllerCheckpoint, BadBlobsAreRejectedIntoCleanColdStart)
 {
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.flightRecorderCapacity = 4;
     core::Controller ctl(kDoubleIntegrator, opt);
     const Vector x{0.3, 0.1};
@@ -287,7 +250,7 @@ TEST(ControllerCheckpoint, BadBlobsAreRejectedIntoCleanColdStart)
 
 TEST(ControllerCheckpoint, GateStreaksContinueWithoutResetOrDoubleCount)
 {
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.sensorJumpThreshold = 5.0;
     opt.sensorFrozenPeriods = 2;
 
@@ -337,7 +300,7 @@ constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 40;
 
 TEST(ControllerCheckpoint, HugeLengthPrefixesColdStartCleanly)
 {
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.flightRecorderCapacity = 4;
     core::Controller donor(kDoubleIntegrator, opt);
     const Vector x{0.3, 0.1};
@@ -436,125 +399,67 @@ TEST(FlightRecorderCheckpoint, PostmortemDumpIsByteStable)
 
 constexpr std::size_t kFleet = 4;
 
-struct FleetHarness
+/** The shared closed loop over kFleet robots, targets 0.25 apart. */
+bench::FleetWorld
+fleetWorld(const dsl::ModelSpec &model, double dt)
 {
-    dsl::ModelSpec model;
-    Plant plant;
-    std::vector<Vector> truth, meas, refs;
-
-    explicit FleetHarness(const dsl::ModelSpec &m) : model(m), plant(m)
-    {
-        for (std::size_t i = 0; i < kFleet; ++i) {
-            double s = static_cast<double>(i);
-            truth.push_back(Vector{0.1 * s, -0.03 * s});
-            meas.push_back(Vector{0.0, 0.0});
-            refs.push_back(Vector{1.0 + 0.25 * s});
-        }
-    }
-
-    /** One closed-loop batch; commands that aren't usable hold the
-     *  previous actuation (shed robots have stale u0). */
-    void stepBatch(BatchController &batch, ChaosEngine *chaos, int b,
-                   double dt)
-    {
-        if (chaos)
-            chaos->setBatch(static_cast<std::uint64_t>(b));
-        for (std::size_t i = 0; i < kFleet; ++i)
-            meas[i].copyFrom(truth[i]);
-        const auto &results = batch.solveAll(meas, refs);
-        for (std::size_t i = 0; i < kFleet; ++i)
-            truth[i] =
-                plant.step(truth[i], results[i].u0, refs[i], dt);
-    }
-};
-
-/** Run `total` closed-loop batches, checkpointing at `cut` into
- *  *blob and *truth_at_cut; returns the final fleet truth. */
-std::vector<Vector>
-runFleet(const dsl::ModelSpec &model, const MpcOptions &opt,
-         std::size_t threads, ChaosEngine *chaos, int total, int cut,
-         std::string *blob, std::vector<Vector> *truth_at_cut,
-         std::string *metrics)
-{
-    BatchController batch(model, opt, kFleet, threads);
-    if (chaos) {
-        batch.setCostHook(chaos->costHook());
-        if (chaos->linkImpaired())
-            batch.setLinkChaos(chaos);
-        batch.setPriority(0, 1.0);
-    }
-    FleetHarness h(model);
-    for (int b = 0; b < total; ++b) {
-        if (b == cut && blob) {
-            support::CheckpointWriter w;
-            batch.checkpoint(w);
-            *blob = w.finish();
-            *truth_at_cut = h.truth;
-        }
-        h.stepBatch(batch, chaos, b, opt.dt);
-    }
-    if (metrics)
-        *metrics = batchMetricsJson(batch.report(), false);
-    return h.truth;
+    return bench::FleetWorld(model, kFleet, 0.25, dt);
 }
 
-/** Resume from `blob` at batch `cut` with `threads` workers and run to
- *  `total`; returns the final fleet truth. */
-std::vector<Vector>
-resumeFleet(const dsl::ModelSpec &model, const MpcOptions &opt,
-            std::size_t threads, ChaosEngine *chaos, int total, int cut,
-            const std::string &blob,
-            const std::vector<Vector> &truth_at_cut, std::string *metrics)
+/**
+ * Run `total` closed-loop batches on `threads` workers, checkpointing
+ * world and controller at `cut`; returns the final metrics and truth.
+ * With `resume`, the run first restores that checkpoint and carries on
+ * from its batch instead.
+ */
+std::pair<std::string, std::vector<Vector>>
+runFleet(const MpcOptions &opt, std::size_t threads, const ChaosSpec *spec,
+         int total, int cut, std::string *blob, const std::string *resume)
 {
+    const dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
     BatchController batch(model, opt, kFleet, threads);
-    if (chaos) {
+    std::optional<ChaosEngine> chaos;
+    if (spec) {
+        chaos.emplace(*spec);
         batch.setCostHook(chaos->costHook());
         if (chaos->linkImpaired())
-            batch.setLinkChaos(chaos);
+            batch.setLinkChaos(&*chaos);
         batch.setPriority(0, 1.0);
     }
-    support::CheckpointReader r(blob);
-    EXPECT_TRUE(batch.restore(r));
-    EXPECT_TRUE(r.atEnd());
-    FleetHarness h(model);
-    h.truth = truth_at_cut;
-    for (int b = cut; b < total; ++b)
-        h.stepBatch(batch, chaos, b, opt.dt);
-    if (metrics)
-        *metrics = batchMetricsJson(batch.report(), false);
-    return h.truth;
+    bench::FleetWorld world = fleetWorld(model, opt.dt);
+    if (resume) {
+        EXPECT_TRUE(bench::restoreFleet(*resume, world, batch));
+    }
+    while (world.batch < static_cast<std::uint64_t>(total)) {
+        if (!resume && world.batch == static_cast<std::uint64_t>(cut))
+            *blob = bench::checkpointFleet(world, batch);
+        world.step(batch, chaos ? &*chaos : nullptr);
+    }
+    return {batchMetricsJson(batch.report(), false), world.truth};
 }
 
+/** A run checkpointed at `cut` on 4 workers and one resumed from that
+ *  checkpoint on 1 must end bitwise equal: the worker-pool size is
+ *  explicitly not part of the resumable state. */
 void
-expectSameFleet(const std::vector<Vector> &a, const std::vector<Vector> &b)
+expectResumesBitwise(const MpcOptions &opt, const ChaosSpec *spec,
+                     int total, int cut)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectSameBits(a[i], b[i]);
+    std::string blob;
+    const auto live = runFleet(opt, 4, spec, total, cut, &blob, nullptr);
+    const auto resumed = runFleet(opt, 1, spec, total, cut, nullptr, &blob);
+    EXPECT_TRUE(bench::sameBits(live.second, resumed.second));
+    EXPECT_EQ(live.first, resumed.first);
 }
 
 TEST(BatchCheckpoint, PlainFleetResumesBitwiseAcrossThreadCounts)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
-    const int total = 12, cut = 5;
-
-    std::string blob, live_metrics, resumed_metrics;
-    std::vector<Vector> at_cut;
-    auto live = runFleet(model, opt, 4, nullptr, total, cut, &blob,
-                         &at_cut, &live_metrics);
-    // Checkpoint written at --threads 4, restored at --threads 1: the
-    // worker-pool size is explicitly not part of the resumable state.
-    auto resumed = resumeFleet(model, opt, 1, nullptr, total, cut, blob,
-                               at_cut, &resumed_metrics);
-    expectSameFleet(live, resumed);
-    EXPECT_EQ(live_metrics, resumed_metrics);
+    expectResumesBitwise(integratorOptions(8, 40), nullptr, 12, 5);
 }
 
 TEST(BatchCheckpoint, ChaosStormResumesBitwise)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.batchDeadlineSeconds = 1e-3;
     opt.overloadParallelism = 2;
     opt.overloadBackupCostSeconds = 4e-4;
@@ -571,24 +476,12 @@ TEST(BatchCheckpoint, ChaosStormResumesBitwise)
     spec.burstFactor = 3.0;
     spec.poisonRate = 0.05;
     spec.virtualSolveCostSeconds = 2e-3; // Overloaded: ladder engages.
-    const int total = 14, cut = 6;
-
-    std::string blob, live_metrics, resumed_metrics;
-    std::vector<Vector> at_cut;
-    ChaosEngine chaos_a(spec);
-    auto live = runFleet(model, opt, 4, &chaos_a, total, cut, &blob,
-                         &at_cut, &live_metrics);
-    ChaosEngine chaos_b(spec);
-    auto resumed = resumeFleet(model, opt, 1, &chaos_b, total, cut, blob,
-                               at_cut, &resumed_metrics);
-    expectSameFleet(live, resumed);
-    EXPECT_EQ(live_metrics, resumed_metrics);
+    expectResumesBitwise(opt, &spec, 14, 6);
 }
 
 TEST(BatchCheckpoint, LossyLinkResumesBitwise)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.linkEnabled = true;
     opt.batchDeadlineSeconds = 1e-3;
     opt.overloadParallelism = 2;
@@ -606,21 +499,10 @@ TEST(BatchCheckpoint, LossyLinkResumesBitwise)
     spec.linkBlackoutRate = 0.05;
     spec.linkBlackoutBatches = 3;
     spec.virtualSolveCostSeconds = 2e-4;
-    const int total = 14, cut = 6;
-
-    std::string blob, live_metrics, resumed_metrics;
-    std::vector<Vector> at_cut;
-    ChaosEngine chaos_a(spec);
-    auto live = runFleet(model, opt, 4, &chaos_a, total, cut, &blob,
-                         &at_cut, &live_metrics);
-    ChaosEngine chaos_b(spec);
-    auto resumed = resumeFleet(model, opt, 1, &chaos_b, total, cut, blob,
-                               at_cut, &resumed_metrics);
-    expectSameFleet(live, resumed);
     // The link-protocol counters (retransmits, plan misses, seq state)
     // ride in the metrics snapshot: equal bytes mean the protocol
     // state machine resumed mid-flight, not restarted.
-    EXPECT_EQ(live_metrics, resumed_metrics);
+    expectResumesBitwise(opt, &spec, 14, 6);
 }
 
 // ---------------------------------------------------------------------
@@ -647,7 +529,7 @@ payloadCrc(const std::string &payload)
 
 TEST(ControllerCheckpoint, FormatGoldenLengthAndCrc)
 {
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.flightRecorderCapacity = 4;
     opt.sensorJumpThreshold = 5.0;
     core::Controller ctl(kDoubleIntegrator, opt);
@@ -716,7 +598,7 @@ maskBatchWallClock(std::string &payload, const BatchReport &rp)
 TEST(BatchCheckpoint, FormatGoldenLengthAndCrc)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.linkEnabled = true;
     opt.batchDeadlineSeconds = 1e-3;
     opt.overloadParallelism = 4;
@@ -738,21 +620,18 @@ TEST(BatchCheckpoint, FormatGoldenLengthAndCrc)
     spec.virtualSolveCostSeconds = 2e-4;
     ChaosEngine chaos(spec);
 
-    UpgradeCandidate cand;
-    cand.model = model;
-    cand.options = opt;
-    cand.image = compiler::packImage(compiler::IsaStreams());
+    const UpgradeCandidate cand = bench::makeCandidate(kDoubleIntegrator, opt);
 
     BatchController batch(model, opt, kFleet, 2);
     batch.setCostHook(chaos.costHook());
     batch.setLinkChaos(&chaos);
     batch.enableTimeline(true);
-    FleetHarness h(model);
-    h.stepBatch(batch, &chaos, 0, opt.dt);
+    bench::FleetWorld world = fleetWorld(model, opt.dt);
+    world.step(batch, &chaos);
     ASSERT_EQ(UpgradeScheduleStatus::Scheduled,
               batch.scheduleUpgrade(cand));
-    for (int b = 1; b < 5; ++b)
-        h.stepBatch(batch, &chaos, b, opt.dt);
+    while (world.batch < 5)
+        world.step(batch, &chaos);
     ASSERT_EQ(UpgradePhase::Canary, batch.upgradePhase());
 
     support::CheckpointWriter w;
@@ -769,13 +648,13 @@ TEST(BatchCheckpoint, FormatGoldenLengthAndCrc)
 TEST(BatchCheckpoint, MismatchedOrCorruptBlobsColdStartCleanly)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.flightRecorderCapacity = 8;
 
     BatchController donor(model, opt, kFleet, 2);
-    FleetHarness h(model);
+    bench::FleetWorld world = fleetWorld(model, opt.dt);
     for (int b = 0; b < 3; ++b)
-        h.stepBatch(donor, nullptr, b, opt.dt);
+        world.step(donor);
     support::CheckpointWriter w;
     donor.checkpoint(w);
     const std::string good = w.finish();
@@ -807,8 +686,7 @@ TEST(BatchCheckpoint, MismatchedOrCorruptBlobsColdStartCleanly)
     // recorder empty, and the next batch serves every robot.
     EXPECT_EQ(0u, fresh.report().batches);
     EXPECT_TRUE(fresh.flightRecorder().empty());
-    FleetHarness h2(model);
-    h2.stepBatch(fresh, nullptr, 0, opt.dt);
+    fleetWorld(model, opt.dt).step(fresh);
     for (std::size_t i = 0; i < kFleet; ++i)
         EXPECT_TRUE(statusUsable(fresh.report().statuses[i]));
 
@@ -824,14 +702,14 @@ TEST(BatchCheckpoint, MismatchedOrCorruptBlobsColdStartCleanly)
 TEST(BatchCheckpoint, HugeLengthPrefixesColdStartCleanly)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.linkEnabled = true;
     opt.flightRecorderCapacity = 8;
     BatchController donor(model, opt, kFleet, 1);
     donor.enableTimeline(true);
-    FleetHarness h(model);
+    bench::FleetWorld world = fleetWorld(model, opt.dt);
     for (int b = 0; b < 3; ++b)
-        h.stepBatch(donor, nullptr, b, opt.dt);
+        world.step(donor);
     support::CheckpointWriter full;
     donor.checkpoint(full);
     const std::string payload = full.finish().substr(20);
@@ -879,8 +757,7 @@ TEST(BatchCheckpoint, HugeLengthPrefixesColdStartCleanly)
         EXPECT_EQ(0u, fresh.report().batches);
         EXPECT_TRUE(fresh.flightRecorder().empty());
         EXPECT_TRUE(fresh.timeline().empty());
-        FleetHarness h2(model);
-        h2.stepBatch(fresh, nullptr, 0, opt.dt);
+        fleetWorld(model, opt.dt).step(fresh);
         for (std::size_t i = 0; i < kFleet; ++i)
             EXPECT_TRUE(statusUsable(fresh.report().statuses[i]));
     }

@@ -18,56 +18,22 @@
 #include "mpc/batch.hh"
 #include "mpc/chaos.hh"
 #include "mpc/link.hh"
-#include "mpc/simulate.hh"
+#include "fleet_scenario.hh"
 
 namespace robox::mpc
 {
 namespace
 {
 
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
+using bench::kDoubleIntegrator;
+using bench::makeFleetInputs;
 
 MpcOptions
 linkOptions(int horizon = 12)
 {
-    MpcOptions opt;
-    opt.horizon = horizon;
-    opt.dt = 0.1;
-    opt.maxIterations = 60;
+    MpcOptions opt = bench::integratorOptions(horizon);
     opt.linkEnabled = true;
     return opt;
-}
-
-void
-makeFleetInputs(std::size_t robots, std::vector<Vector> &states,
-                std::vector<Vector> &refs)
-{
-    states.clear();
-    refs.clear();
-    for (std::size_t i = 0; i < robots; ++i) {
-        double s = static_cast<double>(i);
-        states.push_back(Vector{0.1 * s, -0.03 * s});
-        refs.push_back(Vector{1.0 + 0.2 * s});
-    }
 }
 
 /** An N-stage plan whose stage k input is `base + k * step`, so tests
@@ -282,7 +248,7 @@ TEST(Link, DuplicatesAndReordersAreCountedAndIdempotent)
     FleetLink link(model, linkOptions(), 4);
     link.setChaos(&chaos);
     std::vector<Vector> states, refs;
-    makeFleetInputs(4, states, refs);
+    makeFleetInputs(4, 0.2, states, refs);
 
     for (std::uint64_t p = 0; p < 24; ++p) {
         link.beginPeriod(p, states, refs);
@@ -381,7 +347,7 @@ TEST(LinkBatch, ZeroImpairmentIsBitwiseIdenticalToDirectPath)
     ASSERT_EQ(direct.link(), nullptr);
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(kRobots, states, refs);
+    makeFleetInputs(kRobots, 0.2, states, refs);
     std::vector<Vector> states2 = states;
 
     for (int b = 0; b < kBatches; ++b) {
@@ -426,7 +392,7 @@ TEST(LinkBatch, DeadUplinkDemotesThenShedsThroughTheLadder)
     batch.enableTimeline(true);
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(kRobots, states, refs);
+    makeFleetInputs(kRobots, 0.2, states, refs);
     for (int b = 0; b < 8; ++b) {
         const auto &results = batch.solveAll(states, refs);
         for (std::size_t i = 0; i < kRobots; ++i) {
@@ -492,25 +458,17 @@ TEST(LinkBatch, LinkStormReplaysBitwiseAcrossThreadCounts)
     spec.linkBlackoutRate = 0.02;
     spec.linkBlackoutBatches = 3;
 
+    bench::Scenario s;
+    s.options = opt;
+    s.chaos = spec;
+    s.robots = kRobots;
+    s.batches = kBatches;
+    s.timeline = true;
     auto run = [&](std::size_t threads) {
-        BatchController batch(model, opt, kRobots, threads);
-        batch.enableTimeline(true);
-        ChaosEngine chaos(spec);
-        batch.setCostHook(chaos.costHook());
-        batch.setLinkChaos(&chaos);
-
-        std::vector<Vector> states, refs;
-        makeFleetInputs(kRobots, states, refs);
-        for (int b = 0; b < kBatches; ++b) {
-            chaos.setBatch(static_cast<std::uint64_t>(b));
-            batch.solveAll(states, refs);
-            for (std::size_t i = 0; i < kRobots; ++i) {
-                states[i][0] += 0.005;
-                states[i][1] += 0.002;
-            }
-        }
-        return std::make_pair(batch.timeline().toChromeJson(),
-                              batchMetricsJson(batch.report(),
+        s.threads = threads;
+        const bench::ScenarioResult r = bench::runScenario(model, s);
+        return std::make_pair(r.timeline.toChromeJson(),
+                              batchMetricsJson(r.report,
                                                /*include_timing=*/false));
     };
 
@@ -532,13 +490,12 @@ TEST(LinkBatch, LinkStormReplaysBitwiseAcrossThreadCounts)
 TEST(LinkBatch, ClosedLoopTrackingDegradesGracefullyWithLossRate)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    Plant plant(model);
-    constexpr int kBatches = 60;
-    constexpr int kSettle = 30; // Score the settled half only.
-    const double dt = linkOptions().dt;
+    const MpcOptions opt = linkOptions();
 
+    // One robot from rest to target 1.0; the executed command is what
+    // the link says reached the actuators — stage 0 on time, buffered
+    // tail otherwise. The settled half (batches 30..59) is scored.
     auto track = [&](double loss) {
-        MpcOptions opt = linkOptions();
         ChaosSpec spec;
         spec.seed = 99;
         spec.uplinkDropRate = loss;
@@ -546,23 +503,11 @@ TEST(LinkBatch, ClosedLoopTrackingDegradesGracefullyWithLossRate)
         ChaosEngine chaos(spec);
         BatchController batch(model, opt, 1, 1);
         batch.setLinkChaos(&chaos);
-
-        std::vector<Vector> states{Vector{0.0, 0.0}};
-        std::vector<Vector> refs{Vector{1.0}};
-        double err = 0.0;
-        int scored = 0;
-        for (int b = 0; b < kBatches; ++b) {
-            const auto &results = batch.solveAll(states, refs);
-            // The executed command is what the link says reached the
-            // actuators — stage 0 on time, buffered tail otherwise.
-            states[0] =
-                plant.step(states[0], results[0].u0, refs[0], dt);
-            if (b >= kSettle) {
-                err += std::abs(states[0][0] - 1.0);
-                ++scored;
-            }
-        }
-        return err / scored;
+        bench::FleetWorld world(model, 1, 0.0, opt.dt);
+        world.settleBatch = 30;
+        while (world.batch < 60)
+            world.step(batch);
+        return world.meanError();
     };
 
     const double clean = track(0.0);
@@ -589,7 +534,7 @@ TEST(LinkBatch, ResetForgetsProtocolStateButKeepsCounters)
     BatchController batch(model, opt, 2, 1);
     batch.setLinkChaos(&chaos);
     std::vector<Vector> states, refs;
-    makeFleetInputs(2, states, refs);
+    makeFleetInputs(2, 0.2, states, refs);
     for (int b = 0; b < 8; ++b)
         batch.solveAll(states, refs);
     ASSERT_TRUE(batch.link()->isDown(0));

@@ -17,39 +17,15 @@
 #include "mpc/problem.hh"
 #include "mpc/riccati.hh"
 #include "mpc/simulate.hh"
+#include "fleet_scenario.hh"
 
 namespace robox::mpc
 {
 namespace
 {
 
-// A 1D double integrator with bounded acceleration: the simplest
-// nontrivial MPC plant.
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-    penalty final_pos, final_vel;
-    final_pos.terminal = pos - target;
-    final_pos.weight <= 10 * w_pos;
-    final_vel.terminal = vel;
-    final_vel.weight <= w_pos;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
+using bench::integratorOptions;
+using bench::kDoubleIntegratorTerminal;
 
 const char *kMobileRobot = R"(
 System MobileRobot( param vel_bound, param ang_bound ) {
@@ -85,20 +61,10 @@ MobileRobot robot(1.0, 2.0);
 robot.moveTo(desired_x, desired_y, 1.0);
 )";
 
-MpcOptions
-smallOptions(int horizon = 20)
-{
-    MpcOptions opt;
-    opt.horizon = horizon;
-    opt.dt = 0.1;
-    opt.maxIterations = 60;
-    return opt;
-}
-
 TEST(Problem, DimensionsAndTapes)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcProblem prob(model, smallOptions());
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    MpcProblem prob(model, integratorOptions(20));
     EXPECT_EQ(prob.nx(), 2);
     EXPECT_EQ(prob.nu(), 1);
     EXPECT_EQ(prob.nref(), 1);
@@ -114,8 +80,8 @@ TEST(Problem, DimensionsAndTapes)
 
 TEST(Problem, EulerDynamicsJacobians)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = smallOptions();
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    MpcOptions opt = integratorOptions(20);
     MpcProblem prob(model, opt);
     StageEval eval;
     Vector x{1.0, -0.5};
@@ -135,7 +101,7 @@ TEST(Problem, EulerDynamicsJacobians)
 TEST(Problem, Rk4MatchesNumericalIntegration)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kMobileRobot);
-    MpcOptions opt = smallOptions();
+    MpcOptions opt = integratorOptions(20);
     opt.integrator = Integrator::Rk4;
     MpcProblem prob(model, opt);
     Plant plant(model);
@@ -154,7 +120,7 @@ TEST(Problem, Rk4MatchesNumericalIntegration)
 TEST(Problem, Rk4JacobianMatchesFiniteDifference)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kMobileRobot);
-    MpcOptions opt = smallOptions();
+    MpcOptions opt = integratorOptions(20);
     opt.integrator = Integrator::Rk4;
     MpcProblem prob(model, opt);
 
@@ -361,8 +327,8 @@ TEST(Riccati, RegularizesIndefiniteInputHessian)
 
 TEST(Ipm, SolvesUnconstrainedStyleProblemToTarget)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    IpmSolver solver(model, smallOptions(30));
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    IpmSolver solver(model, integratorOptions(30));
     Vector x0{0.0, 0.0};
     Vector ref{1.0};
     auto result = solver.solve(x0, ref);
@@ -375,8 +341,8 @@ TEST(Ipm, SolvesUnconstrainedStyleProblemToTarget)
 
 TEST(Ipm, RespectsInputBounds)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    IpmSolver solver(model, smallOptions(30));
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    IpmSolver solver(model, integratorOptions(30));
     Vector x0{0.0, 0.0};
     Vector ref{100.0}; // Far target: bounds must bind.
     auto result = solver.solve(x0, ref);
@@ -390,8 +356,8 @@ TEST(Ipm, RespectsInputBounds)
 
 TEST(Ipm, WarmStartReducesIterations)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    IpmSolver solver(model, smallOptions(30));
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    IpmSolver solver(model, integratorOptions(30));
     Vector ref{1.0};
     auto first = solver.solve(Vector{0.0, 0.0}, ref);
     auto second = solver.solve(Vector{0.02, 0.05}, ref);
@@ -401,8 +367,8 @@ TEST(Ipm, WarmStartReducesIterations)
 
 TEST(Ipm, ClosedLoopDoubleIntegratorReachesTarget)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    IpmSolver solver(model, smallOptions(25));
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    IpmSolver solver(model, integratorOptions(25));
     auto sim = simulateClosedLoop(solver, Vector{0.0, 0.0}, Vector{2.0},
                                   60);
     const Vector &x_end = sim.states.back();
@@ -413,7 +379,7 @@ TEST(Ipm, ClosedLoopDoubleIntegratorReachesTarget)
 TEST(Ipm, ClosedLoopMobileRobotReachesTarget)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kMobileRobot);
-    MpcOptions opt = smallOptions(25);
+    MpcOptions opt = integratorOptions(25);
     IpmSolver solver(model, opt);
     auto sim = simulateClosedLoop(solver, Vector{0.0, 0.0, 0.0},
                                   Vector{1.5, 1.0}, 80);
@@ -429,8 +395,8 @@ TEST(Ipm, ClosedLoopMobileRobotReachesTarget)
 
 TEST(Ipm, StatsArePopulated)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    IpmSolver solver(model, smallOptions(10));
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    IpmSolver solver(model, integratorOptions(10));
     solver.solve(Vector{0.0, 0.0}, Vector{1.0});
     const SolveStats &stats = solver.lastStats();
     EXPECT_GT(stats.iterations, 0);
@@ -441,8 +407,8 @@ TEST(Ipm, StatsArePopulated)
 
 TEST(Ipm, HorizonOneDegenerateCaseWorks)
 {
-    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    IpmSolver solver(model, smallOptions(1));
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegratorTerminal);
+    IpmSolver solver(model, integratorOptions(1));
     auto result = solver.solve(Vector{0.0, 0.0}, Vector{1.0});
     EXPECT_TRUE(std::isfinite(result.u0[0]));
 }
@@ -486,7 +452,7 @@ TEST(Ipm, MixedConstraintBindsAtStageZero)
 {
     dsl::ModelSpec model =
         dsl::analyzeSource(kMixedConstraintIntegrator);
-    MpcProblem prob(model, smallOptions(20));
+    MpcProblem prob(model, integratorOptions(20));
     // The mixed row depends on both the state and the input...
     const int mixed_row = prob.numRunningIneq() - 1;
     EXPECT_TRUE(prob.runningRowUsesState()[mixed_row]);
@@ -495,7 +461,7 @@ TEST(Ipm, MixedConstraintBindsAtStageZero)
     EXPECT_FALSE(prob.runningRowUsesState()[0]);
     EXPECT_TRUE(prob.runningRowUsesInput()[0]);
 
-    IpmSolver solver(model, smallOptions(20));
+    IpmSolver solver(model, integratorOptions(20));
     const Vector x0{0.0, 0.9};
     auto result = solver.solve(x0, Vector{10.0});
     EXPECT_TRUE(result.converged);

@@ -19,32 +19,16 @@
 #include "mpc/chaos.hh"
 #include "mpc/sensor_gate.hh"
 #include "support/logging.hh"
+#include "fleet_scenario.hh"
 
 namespace robox::mpc
 {
 namespace
 {
 
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
+using bench::integratorOptions;
+using bench::kDoubleIntegrator;
+using bench::makeFleetInputs;
 
 /** Same plant with a bounded velocity, so the range check has a
  *  finite state box to enforce. */
@@ -72,36 +56,13 @@ plant.moveTo(target, 1.0, 0.05);
 )";
 
 MpcOptions
-smallOptions(int horizon = 12)
-{
-    MpcOptions opt;
-    opt.horizon = horizon;
-    opt.dt = 0.1;
-    opt.maxIterations = 60;
-    return opt;
-}
-
-MpcOptions
 gatedOptions()
 {
-    MpcOptions opt = smallOptions();
+    MpcOptions opt = integratorOptions();
     opt.sensorRangeMargin = 0.5;
     opt.sensorJumpThreshold = 5.0;
     opt.sensorFrozenPeriods = 3;
     return opt;
-}
-
-void
-makeFleetInputs(std::size_t robots, std::vector<Vector> &states,
-                std::vector<Vector> &refs)
-{
-    states.clear();
-    refs.clear();
-    for (std::size_t i = 0; i < robots; ++i) {
-        double s = static_cast<double>(i);
-        states.push_back(Vector{0.1 * s, -0.03 * s});
-        refs.push_back(Vector{1.0 + 0.2 * s});
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -208,7 +169,7 @@ TEST(Overload, TwoTimesStormDegradesTailAndKeepsAdmittedBitwise)
     constexpr std::size_t kRobots = 8;
     constexpr double kCost = 1e-3; // Virtual per-robot solve cost.
 
-    MpcOptions opt = smallOptions();
+    MpcOptions opt = integratorOptions();
     opt.overloadParallelism = 1;
     // Budget 4 robots' worth of work; 8 robots offered = 2x load.
     opt.batchDeadlineSeconds = 4.0 * kCost;
@@ -222,7 +183,7 @@ TEST(Overload, TwoTimesStormDegradesTailAndKeepsAdmittedBitwise)
         serial.emplace_back(model, opt);
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(kRobots, states, refs);
+    makeFleetInputs(kRobots, 0.2, states, refs);
 
     for (int round = 0; round < 4; ++round) {
         const auto &results = batch.solveAll(states, refs);
@@ -281,7 +242,7 @@ TEST(Overload, PriorityProtectsHighValueRobots)
     constexpr std::size_t kRobots = 6;
     constexpr double kCost = 1e-3;
 
-    MpcOptions opt = smallOptions();
+    MpcOptions opt = integratorOptions();
     opt.overloadParallelism = 1;
     opt.batchDeadlineSeconds = 3.0 * kCost; // 2x load at 6 robots.
 
@@ -292,7 +253,7 @@ TEST(Overload, PriorityProtectsHighValueRobots)
         batch.setPriority(i, static_cast<double>(i));
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(kRobots, states, refs);
+    makeFleetInputs(kRobots, 0.2, states, refs);
     batch.solveAll(states, refs); // Seed the cost model.
     const auto &results = batch.solveAll(states, refs);
 
@@ -410,35 +371,26 @@ TEST(Overload, ChaosCampaignReplaysBitwiseAcrossThreadCounts)
         BatchController batch(model, opt, kRobots, threads);
         ChaosEngine chaos(spec);
         batch.setCostHook(chaos.costHook());
-
-        std::vector<Vector> states, refs;
-        makeFleetInputs(kRobots, states, refs);
-        std::vector<Vector> prev = states;
+        bench::FleetWorld world(model, kRobots, 0.2, opt.dt);
 
         std::vector<SolveStatus> statuses;
         std::vector<double> commands;
+        std::vector<Vector> executed;
         for (int b = 0; b < kBatches; ++b) {
-            chaos.setBatch(static_cast<std::uint64_t>(b));
-            std::vector<Vector> meas = states;
-            for (std::size_t i = 0; i < kRobots; ++i)
-                chaos.poisonState(static_cast<std::uint64_t>(b), i,
-                                  prev[i], meas[i]);
-            prev = meas;
-            const auto &results = batch.solveAll(meas, refs);
+            const auto &results = world.step(batch, &chaos);
             for (std::size_t i = 0; i < kRobots; ++i) {
                 statuses.push_back(results[i].status);
                 for (std::size_t j = 0; j < results[i].u0.size(); ++j)
                     commands.push_back(results[i].u0[j]);
-                // March the (uncorrupted) states so warm starts and
-                // gate baselines evolve.
-                states[i][0] += 0.005;
-                states[i][1] += 0.002;
             }
+            executed.insert(executed.end(), world.lastU.begin(),
+                            world.lastU.end());
         }
         const OverloadReport &ov = batch.report().overload;
         return std::make_tuple(statuses, commands, ov.degraded,
                                ov.servedFromBackup, ov.shed,
-                               ov.poisoned, ov.overloadedBatches);
+                               ov.poisoned, ov.overloadedBatches,
+                               executed);
     };
 
     const auto serial = run(1);
@@ -455,6 +407,7 @@ TEST(Overload, ChaosCampaignReplaysBitwiseAcrossThreadCounts)
     ASSERT_EQ(serial_commands.size(), pooled_commands.size());
     for (std::size_t k = 0; k < serial_commands.size(); ++k)
         EXPECT_EQ(serial_commands[k], pooled_commands[k]) << k;
+    EXPECT_TRUE(bench::sameBits(std::get<7>(serial), std::get<7>(pooled)));
 
     EXPECT_EQ(std::get<2>(serial), std::get<2>(pooled));
     EXPECT_EQ(std::get<3>(serial), std::get<3>(pooled));
@@ -477,10 +430,10 @@ TEST(Overload, ChaosCampaignReplaysBitwiseAcrossThreadCounts)
 TEST(Overload, MalformedInputsGetBadInputInsteadOfCrashing)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    BatchController batch(model, smallOptions(), 4, 2);
+    BatchController batch(model, integratorOptions(), 4, 2);
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(4, states, refs);
+    makeFleetInputs(4, 0.2, states, refs);
     states[1] = Vector{0.1};           // Wrong state dimension.
     refs[2] = Vector{1.0, 2.0};        // Wrong reference dimension.
     states.pop_back();                 // Robot 3's state is missing.
@@ -499,7 +452,7 @@ TEST(Overload, MalformedInputsGetBadInputInsteadOfCrashing)
     }
 
     // Extra entries beyond numRobots() are ignored.
-    makeFleetInputs(6, states, refs);
+    makeFleetInputs(6, 0.2, states, refs);
     const auto &again = batch.solveAll(states, refs);
     for (std::size_t i = 0; i < 4; ++i)
         EXPECT_TRUE(statusUsable(again[i].status)) << i;
@@ -509,14 +462,14 @@ TEST(Overload, MalformedInputsGetBadInputInsteadOfCrashing)
 TEST(Overload, ExceptionsAreQuarantinedAndReportedDeterministically)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    BatchController batch(model, smallOptions(), 8, 4);
+    BatchController batch(model, integratorOptions(), 8, 4);
     batch.setStallHook([](std::size_t i) {
         if (i == 3 || i == 5 || i == 6)
             throw std::runtime_error("injected worker fault");
     });
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(8, states, refs);
+    makeFleetInputs(8, 0.2, states, refs);
     // The serving loop must outlive any single robot's bug: nothing is
     // rethrown, the incident is recorded in the report instead.
     const auto &results = batch.solveAll(states, refs);
@@ -553,7 +506,7 @@ TEST(Overload, ReportLifetimeCountersAccumulateAcrossResetAll)
     constexpr std::size_t kRobots = 4;
     constexpr double kCost = 1e-3;
 
-    MpcOptions opt = smallOptions();
+    MpcOptions opt = integratorOptions();
     opt.overloadParallelism = 1;
     opt.batchDeadlineSeconds = 2.0 * kCost; // 2x load at 4 robots.
 
@@ -561,7 +514,7 @@ TEST(Overload, ReportLifetimeCountersAccumulateAcrossResetAll)
     batch.setCostHook([](std::size_t, double) { return kCost; });
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(kRobots, states, refs);
+    makeFleetInputs(kRobots, 0.2, states, refs);
     batch.solveAll(states, refs);
     batch.solveAll(states, refs);
     const std::uint64_t degraded_before = batch.report().overload.degraded;
@@ -604,7 +557,7 @@ TEST(Timeline, RecordsSpansMarkersAndRungChanges)
     constexpr std::size_t kRobots = 8;
     constexpr double kCost = 1e-3;
 
-    MpcOptions opt = smallOptions();
+    MpcOptions opt = integratorOptions();
     opt.overloadParallelism = 1;
     opt.batchDeadlineSeconds = 4.0 * kCost; // 2x load at 8 robots.
 
@@ -613,7 +566,7 @@ TEST(Timeline, RecordsSpansMarkersAndRungChanges)
     batch.enableTimeline(true);
 
     std::vector<Vector> states, refs;
-    makeFleetInputs(kRobots, states, refs);
+    makeFleetInputs(kRobots, 0.2, states, refs);
     batch.solveAll(states, refs); // Cold model: all Full.
     batch.solveAll(states, refs); // Warm: tail degrades.
 
@@ -685,32 +638,18 @@ TEST(Timeline, ExportsAreByteIdenticalAcrossThreadCounts)
     spec.poisonRate = 0.05;
     spec.virtualSolveCostSeconds = 4.0 * 1e-3 * 4.0 / kRobots;
 
+    bench::Scenario s;
+    s.options = opt;
+    s.chaos = spec;
+    s.robots = kRobots;
+    s.batches = kBatches;
+    s.timeline = true;
     auto run = [&](std::size_t threads) {
-        BatchController batch(model, opt, kRobots, threads);
-        batch.enableTimeline(true);
-        ChaosEngine chaos(spec);
-        batch.setCostHook(chaos.costHook());
-
-        std::vector<Vector> states, refs;
-        makeFleetInputs(kRobots, states, refs);
-        std::vector<Vector> prev = states;
-        for (int b = 0; b < kBatches; ++b) {
-            chaos.setBatch(static_cast<std::uint64_t>(b));
-            std::vector<Vector> meas = states;
-            for (std::size_t i = 0; i < kRobots; ++i)
-                chaos.poisonState(static_cast<std::uint64_t>(b), i,
-                                  prev[i], meas[i]);
-            prev = meas;
-            batch.solveAll(meas, refs);
-            for (std::size_t i = 0; i < kRobots; ++i) {
-                states[i][0] += 0.005;
-                states[i][1] += 0.002;
-            }
-        }
-        return std::make_pair(
-            batch.timeline().toChromeJson(),
-            batchMetricsJson(batch.report(),
-                             /*include_timing=*/false));
+        s.threads = threads;
+        const bench::ScenarioResult r = bench::runScenario(model, s);
+        return std::make_pair(r.timeline.toChromeJson(),
+                              batchMetricsJson(r.report,
+                                               /*include_timing=*/false));
     };
 
     const auto serial = run(1);
@@ -730,9 +669,9 @@ TEST(Timeline, ExportsAreByteIdenticalAcrossThreadCounts)
 TEST(Timeline, MetricsJsonReflectsReportCounters)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    BatchController batch(model, smallOptions(), 3, 2);
+    BatchController batch(model, integratorOptions(), 3, 2);
     std::vector<Vector> states, refs;
-    makeFleetInputs(3, states, refs);
+    makeFleetInputs(3, 0.2, states, refs);
     batch.solveAll(states, refs);
 
     const std::string json = batchMetricsJson(batch.report());

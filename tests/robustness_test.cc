@@ -24,6 +24,7 @@
 #include "robots/robots.hh"
 #include "support/alloc_hook.hh"
 #include "support/logging.hh"
+#include "fleet_scenario.hh"
 
 namespace robox::mpc
 {
@@ -279,35 +280,8 @@ sys.go();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
-
-MpcOptions
-integratorOptions()
-{
-    MpcOptions opt;
-    opt.horizon = 12;
-    opt.dt = 0.1;
-    return opt;
-}
+using bench::integratorOptions;
+using bench::kDoubleIntegrator;
 
 TEST(FaultInjection, NanStateIsRefusedWithoutPoisoningWarmStart)
 {
@@ -592,11 +566,7 @@ TEST(FaultInjection, PoisonedRobotIsIsolatedInBatch)
         serial.emplace_back(model, opt);
 
     std::vector<Vector> states, refs;
-    for (std::size_t i = 0; i < kRobots; ++i) {
-        double s = static_cast<double>(i);
-        states.push_back(Vector{0.1 * s, -0.03 * s});
-        refs.push_back(Vector{1.0 + 0.2 * s});
-    }
+    bench::makeFleetInputs(kRobots, 0.2, states, refs);
 
     for (int round = 0; round < 3; ++round) {
         // Round 1 poisons one robot's measured state; the other

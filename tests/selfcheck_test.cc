@@ -30,6 +30,7 @@
 #include "mpc/status.hh"
 #include "robots/robots.hh"
 #include "translator/workload.hh"
+#include "fleet_scenario.hh"
 
 namespace robox
 {
@@ -62,33 +63,12 @@ tapeInputs(const sym::Tape &tape)
     return inputs;
 }
 
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
+using bench::kDoubleIntegrator;
 
 mpc::MpcOptions
 selfCheckOptions()
 {
-    mpc::MpcOptions opt;
-    opt.horizon = 12;
-    opt.dt = 0.1;
+    mpc::MpcOptions opt = bench::integratorOptions();
     opt.fixedPointTapes = true;
     opt.crossCheckFixedPoint = true;
     opt.accelSelfCheck = true;

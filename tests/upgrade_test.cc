@@ -9,7 +9,6 @@
  */
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,57 +17,19 @@
 #include "compiler/binary.hh"
 #include "dsl/sema.hh"
 #include "mpc/batch.hh"
-#include "mpc/simulate.hh"
 #include "mpc/upgrade.hh"
 #include "support/checkpoint.hh"
+#include "fleet_scenario.hh"
 
 namespace robox::mpc
 {
 namespace
 {
 
-const char *kDoubleIntegrator = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 1.0, 0.05);
-)";
-
-/** Same plant interface, very different tuning: commands diverge. */
-const char *kDoubleIntegratorRetuned = R"(
-System DoubleIntegrator( param a_max ) {
-  state pos, vel;
-  input acc;
-  pos.dt = vel;
-  vel.dt = acc;
-  acc.lower_bound <= -a_max;
-  acc.upper_bound <= a_max;
-  Task moveTo( reference target, param w_pos, param w_u ) {
-    penalty track, effort;
-    track.running = pos - target;
-    track.weight <= w_pos;
-    effort.running = acc;
-    effort.weight <= w_u;
-  }
-}
-reference target;
-DoubleIntegrator plant(1.0);
-plant.moveTo(target, 40.0, 0.001);
-)";
+using bench::integratorOptions;
+using bench::kDoubleIntegrator;
+using bench::kDoubleIntegratorRetuned;
+using bench::makeCandidate;
 
 /** Different state dimension: not live-upgradable. */
 const char *kSingleIntegrator = R"(
@@ -93,22 +54,12 @@ plant.moveTo(target, 1.0, 0.05);
 
 constexpr std::size_t kFleet = 4;
 
-MpcOptions
-baseOptions()
-{
-    MpcOptions opt;
-    opt.horizon = 8;
-    opt.dt = 0.1;
-    opt.maxIterations = 40;
-    return opt;
-}
-
 /** Deterministic virtual-time cost model so EWMAs, the virtual clock,
  *  and thus all metrics bytes replay across runs and thread counts. */
 MpcOptions
 hookedOptions()
 {
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     opt.batchDeadlineSeconds = 1e-3;
     opt.overloadParallelism = 4;
     return opt;
@@ -120,69 +71,12 @@ flatCostHook()
     return [](std::size_t, double) { return 1e-5; };
 }
 
-/** A minimal valid image: empty streams, checksummed header. */
-std::vector<std::uint8_t>
-goodImage()
+/** The shared closed loop over kFleet robots, targets 0.25 apart. */
+bench::FleetWorld
+fleetWorld(const dsl::ModelSpec &model)
 {
-    return compiler::packImage(compiler::IsaStreams());
+    return bench::FleetWorld(model, kFleet, 0.25, integratorOptions(8, 40).dt);
 }
-
-UpgradeCandidate
-makeCandidate(const char *source, const MpcOptions &opt)
-{
-    UpgradeCandidate cand;
-    cand.model = dsl::analyzeSource(source);
-    cand.options = opt;
-    cand.image = goodImage();
-    return cand;
-}
-
-void
-expectSameBits(const Vector &a, const Vector &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    if (a.size() > 0) {
-        EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
-                                 a.size() * sizeof(double)));
-    }
-}
-
-void
-expectSameFleet(const std::vector<Vector> &a,
-                const std::vector<Vector> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectSameBits(a[i], b[i]);
-}
-
-struct FleetHarness
-{
-    dsl::ModelSpec model;
-    Plant plant;
-    std::vector<Vector> truth, meas, refs;
-
-    explicit FleetHarness(const dsl::ModelSpec &m) : model(m), plant(m)
-    {
-        for (std::size_t i = 0; i < kFleet; ++i) {
-            double s = static_cast<double>(i);
-            truth.push_back(Vector{0.1 * s, -0.03 * s});
-            meas.push_back(Vector{0.0, 0.0});
-            refs.push_back(Vector{1.0 + 0.25 * s});
-        }
-    }
-
-    void
-    stepBatch(BatchController &batch, double dt)
-    {
-        for (std::size_t i = 0; i < kFleet; ++i)
-            meas[i].copyFrom(truth[i]);
-        const auto &results = batch.solveAll(meas, refs);
-        for (std::size_t i = 0; i < kFleet; ++i)
-            truth[i] =
-                plant.step(truth[i], results[i].u0, refs[i], dt);
-    }
-};
 
 /** Every robot served a usable command this batch (the "no missed
  *  commands" acceptance condition for upgrade campaigns). */
@@ -201,16 +95,16 @@ expectAllServed(const BatchController &batch)
 TEST(UpgradeSchedule, BadImagesAreRejectedWithIncumbentUntouched)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
 
     BatchController batch(model, opt, kFleet, 2);
     BatchController baseline(model, opt, kFleet, 2);
-    FleetHarness h(model), hb(model);
-    h.stepBatch(batch, opt.dt);
-    hb.stepBatch(baseline, opt.dt);
+    bench::FleetWorld h = fleetWorld(model), hb = fleetWorld(model);
+    h.step(batch);
+    hb.step(baseline);
 
-    const std::vector<std::uint8_t> good = goodImage();
     UpgradeCandidate cand = makeCandidate(kDoubleIntegrator, opt);
+    const std::vector<std::uint8_t> good = cand.image;
 
     // CRC-corrupt payload/header byte.
     cand.image = good;
@@ -238,10 +132,10 @@ TEST(UpgradeSchedule, BadImagesAreRejectedWithIncumbentUntouched)
     // The incumbent serves on, bitwise-identical to a controller that
     // never saw the bad candidates.
     for (int b = 0; b < 4; ++b) {
-        h.stepBatch(batch, opt.dt);
-        hb.stepBatch(baseline, opt.dt);
+        h.step(batch);
+        hb.step(baseline);
     }
-    expectSameFleet(hb.truth, h.truth);
+    EXPECT_TRUE(bench::sameBits(hb.truth, h.truth));
     for (std::size_t i = 0; i < kFleet; ++i)
         EXPECT_EQ(1u, batch.servingVersion(i));
 }
@@ -249,7 +143,7 @@ TEST(UpgradeSchedule, BadImagesAreRejectedWithIncumbentUntouched)
 TEST(UpgradeSchedule, ShapeMismatchRejectedAndBusyWhileInFlight)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     BatchController batch(model, opt, kFleet, 2);
 
     EXPECT_EQ(UpgradeScheduleStatus::Incompatible,
@@ -299,13 +193,13 @@ TEST(UpgradeRollout, ShadowPhaseHasZeroEffectOnCommands)
               batch.scheduleUpgrade(
                   makeCandidate(kDoubleIntegratorRetuned, opt)));
 
-    FleetHarness h(model), hb(model);
+    bench::FleetWorld h = fleetWorld(model), hb = fleetWorld(model);
     for (int b = 0; b < 6; ++b) {
-        h.stepBatch(batch, opt.dt);
-        hb.stepBatch(baseline, opt.dt);
+        h.step(batch);
+        hb.step(baseline);
         expectAllServed(batch);
     }
-    expectSameFleet(hb.truth, h.truth);
+    EXPECT_TRUE(bench::sameBits(hb.truth, h.truth));
     EXPECT_EQ(UpgradePhase::Shadow, batch.upgradePhase());
     EXPECT_EQ(6u * kFleet, batch.report().upgrade.shadowSolves);
     // The retuned model computed materially different commands; the
@@ -327,13 +221,13 @@ runCommitCampaign(std::size_t threads, std::string *metrics)
 
     BatchController batch(model, opt, kFleet, threads);
     batch.setCostHook(flatCostHook());
-    FleetHarness h(model);
-    h.stepBatch(batch, opt.dt);
+    bench::FleetWorld h = fleetWorld(model);
+    h.step(batch);
     EXPECT_EQ(UpgradeScheduleStatus::Scheduled,
               batch.scheduleUpgrade(
                   makeCandidate(kDoubleIntegrator, opt)));
     for (int b = 1; b < 10; ++b) {
-        h.stepBatch(batch, opt.dt);
+        h.step(batch);
         expectAllServed(batch);
     }
     EXPECT_EQ(UpgradePhase::Committed, batch.upgradePhase());
@@ -354,14 +248,14 @@ TEST(UpgradeRollout, CommitCampaignIsBitwiseAcrossThreadCounts)
     std::string m4, m1;
     auto t4 = runCommitCampaign(4, &m4);
     auto t1 = runCommitCampaign(1, &m1);
-    expectSameFleet(t4, t1);
+    EXPECT_TRUE(bench::sameBits(t4, t1));
     EXPECT_EQ(m4, m1);
 }
 
 TEST(UpgradeRollout, DivergentCandidateIsRejectedInShadow)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
     // Tight fail band: any real command difference trips.
     opt.upgradeFailAbs = 1e-9;
     opt.upgradeFailRel = 0.0;
@@ -372,10 +266,10 @@ TEST(UpgradeRollout, DivergentCandidateIsRejectedInShadow)
               batch.scheduleUpgrade(
                   makeCandidate(kDoubleIntegratorRetuned, opt)));
 
-    FleetHarness h(model), hb(model);
+    bench::FleetWorld h = fleetWorld(model), hb = fleetWorld(model);
     for (int b = 0; b < 4; ++b) {
-        h.stepBatch(batch, opt.dt);
-        hb.stepBatch(baseline, opt.dt);
+        h.step(batch);
+        hb.step(baseline);
         expectAllServed(batch);
     }
     EXPECT_EQ(UpgradePhase::Rejected, batch.upgradePhase());
@@ -383,7 +277,7 @@ TEST(UpgradeRollout, DivergentCandidateIsRejectedInShadow)
     EXPECT_EQ(1u, batch.report().upgrade.rollbackDivergence);
     EXPECT_GT(batch.report().upgrade.divergenceFails, 0u);
     // Never canaried, never served: the fleet is untouched.
-    expectSameFleet(hb.truth, h.truth);
+    EXPECT_TRUE(bench::sameBits(hb.truth, h.truth));
     for (std::size_t i = 0; i < kFleet; ++i)
         EXPECT_EQ(1u, batch.servingVersion(i));
 }
@@ -391,7 +285,7 @@ TEST(UpgradeRollout, DivergentCandidateIsRejectedInShadow)
 TEST(UpgradeRollout, FaultRateRegressionRejectsCandidate)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
-    MpcOptions opt = baseOptions();
+    MpcOptions opt = integratorOptions(8, 40);
 
     // The candidate's own solver options make every one of its solves
     // report Diverged (unusable): a 100% bad-solve rate against the
@@ -405,9 +299,9 @@ TEST(UpgradeRollout, FaultRateRegressionRejectsCandidate)
     ASSERT_EQ(UpgradeScheduleStatus::Scheduled,
               batch.scheduleUpgrade(cand));
 
-    FleetHarness h(model);
+    bench::FleetWorld h = fleetWorld(model);
     for (int b = 0; b < 3; ++b) {
-        h.stepBatch(batch, opt.dt);
+        h.step(batch);
         expectAllServed(batch);
     }
     EXPECT_EQ(UpgradePhase::Rejected, batch.upgradePhase());
@@ -437,11 +331,11 @@ TEST(UpgradeRollout, LatencyRegressionRollsBackCanaryLosslessly)
     ASSERT_EQ(UpgradeScheduleStatus::Scheduled,
               batch.scheduleUpgrade(cand));
 
-    FleetHarness h(model), hb(model);
+    bench::FleetWorld h = fleetWorld(model), hb = fleetWorld(model);
     bool saw_canary = false;
     for (int b = 0; b < 8; ++b) {
-        h.stepBatch(batch, opt.dt);
-        hb.stepBatch(baseline, opt.dt);
+        h.step(batch);
+        hb.step(baseline);
         expectAllServed(batch);
         saw_canary |= batch.upgradePhase() == UpgradePhase::Canary;
     }
@@ -452,7 +346,7 @@ TEST(UpgradeRollout, LatencyRegressionRollsBackCanaryLosslessly)
     EXPECT_EQ(1u, batch.report().upgrade.version);
     for (std::size_t i = 0; i < kFleet; ++i)
         EXPECT_EQ(1u, batch.servingVersion(i));
-    expectSameFleet(hb.truth, h.truth);
+    EXPECT_TRUE(bench::sameBits(hb.truth, h.truth));
 }
 
 // ---------------------------------------------------------------------
@@ -480,41 +374,34 @@ struct CampaignConfig
 TEST(UpgradeCheckpoint, MidCanaryRestoreReplaysBitwiseAcrossThreads)
 {
     CampaignConfig cfg;
-    const int total = 14, cut = 6; // Batch 6 is mid-canary.
+    const std::uint64_t total = 14, cut = 6; // Batch 6 is mid-canary.
 
-    std::string blob, live_metrics;
-    std::vector<Vector> at_cut;
+    std::string blob;
     BatchController live(cfg.model, cfg.opt, kFleet, 4);
     live.setCostHook(flatCostHook());
-    FleetHarness h(cfg.model);
-    h.stepBatch(live, cfg.opt.dt);
+    bench::FleetWorld h = fleetWorld(cfg.model);
+    h.step(live);
     ASSERT_EQ(UpgradeScheduleStatus::Scheduled,
               live.scheduleUpgrade(cfg.cand));
-    for (int b = 1; b < total; ++b) {
-        if (b == cut) {
+    while (h.batch < total) {
+        if (h.batch == cut) {
             EXPECT_EQ(UpgradePhase::Canary, live.upgradePhase());
-            support::CheckpointWriter w;
-            live.checkpoint(w);
-            blob = w.finish();
-            at_cut = h.truth;
+            blob = bench::checkpointFleet(h, live);
         }
-        h.stepBatch(live, cfg.opt.dt);
+        h.step(live);
     }
     EXPECT_EQ(UpgradePhase::Committed, live.upgradePhase());
-    live_metrics = batchMetricsJson(live.report(), false);
+    const std::string live_metrics = batchMetricsJson(live.report(), false);
 
     // Restore on a different thread count, re-supplying the candidate.
     BatchController resumed(cfg.model, cfg.opt, kFleet, 1);
     resumed.setCostHook(flatCostHook());
-    support::CheckpointReader r(blob);
-    ASSERT_TRUE(resumed.restore(r, &cfg.cand));
-    EXPECT_TRUE(r.atEnd());
+    bench::FleetWorld h2 = fleetWorld(cfg.model);
+    ASSERT_TRUE(bench::restoreFleet(blob, h2, resumed, &cfg.cand));
     EXPECT_EQ(UpgradePhase::Canary, resumed.upgradePhase());
-    FleetHarness h2(cfg.model);
-    h2.truth = at_cut;
-    for (int b = cut; b < total; ++b)
-        h2.stepBatch(resumed, cfg.opt.dt);
-    expectSameFleet(h.truth, h2.truth);
+    while (h2.batch < total)
+        h2.step(resumed);
+    EXPECT_TRUE(bench::sameBits(h.truth, h2.truth));
     EXPECT_EQ(live_metrics, batchMetricsJson(resumed.report(), false));
     EXPECT_EQ(UpgradePhase::Committed, resumed.upgradePhase());
 }
@@ -524,12 +411,12 @@ TEST(UpgradeCheckpoint, LiveRestoreRequiresTheMatchingCandidate)
     CampaignConfig cfg;
     BatchController live(cfg.model, cfg.opt, kFleet, 2);
     live.setCostHook(flatCostHook());
-    FleetHarness h(cfg.model);
-    h.stepBatch(live, cfg.opt.dt);
+    bench::FleetWorld h = fleetWorld(cfg.model);
+    h.step(live);
     ASSERT_EQ(UpgradeScheduleStatus::Scheduled,
               live.scheduleUpgrade(cfg.cand));
     for (int b = 0; b < 2; ++b)
-        h.stepBatch(live, cfg.opt.dt);
+        h.step(live);
     ASSERT_EQ(UpgradePhase::Shadow, live.upgradePhase());
     support::CheckpointWriter w;
     live.checkpoint(w);
@@ -568,8 +455,8 @@ TEST(UpgradeCheckpoint, LiveRestoreRequiresTheMatchingCandidate)
         support::CheckpointReader r(bad);
         EXPECT_FALSE(fresh.restore(r, &cfg.cand));
         // And the rejected controller still serves from cold.
-        FleetHarness h2(cfg.model);
-        h2.stepBatch(fresh, cfg.opt.dt);
+        bench::FleetWorld h2 = fleetWorld(cfg.model);
+        h2.step(fresh);
         for (std::size_t i = 0; i < kFleet; ++i)
             EXPECT_TRUE(statusUsable(fresh.report().statuses[i]));
     }
@@ -594,11 +481,11 @@ TEST(UpgradeCheckpoint, SettledPhasesRestoreWithoutACandidate)
 
     BatchController live(cfg.model, cfg.opt, kFleet, 2);
     live.setCostHook(flatCostHook());
-    FleetHarness h(cfg.model);
+    bench::FleetWorld h = fleetWorld(cfg.model);
     ASSERT_EQ(UpgradeScheduleStatus::Scheduled,
               live.scheduleUpgrade(cfg.cand));
     for (int b = 0; b < 3; ++b)
-        h.stepBatch(live, cfg.opt.dt);
+        h.step(live);
     ASSERT_EQ(UpgradePhase::Rejected, live.upgradePhase());
 
     // A settled (rejected) rollout holds no candidate solvers, so the
